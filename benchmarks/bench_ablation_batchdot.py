@@ -30,6 +30,7 @@ import random
 
 from benchmarks.conftest import series_table, write_report
 from benchmarks.harness import write_bench_json
+from repro.fe.febo import Febo
 from repro.fe.feip import Feip
 from repro.mathutils.dlog import DlogSolver
 from repro.utils.timer import Stopwatch
@@ -150,3 +151,60 @@ def test_solve_many_shares_the_stride_walk():
         speedups={"solve_many_vs_each": speedup},
         meta={"bits": 64, "bound": bound, "table_size": 512,
               "targets": len(targets)})
+
+
+#: One cold training step's feature reconstruction: 10 samples x 8
+#: features, each decrypted as ``x * 1`` (the identity multiplier).
+FEBO_CELLS = 80
+FEBO_ROUNDS = 20
+FEBO_GATE = 3.0
+
+
+def test_batched_vs_per_element_febo():
+    """80-cell ``*``-by-1 grid: per-element ``decrypt`` vs ``decrypt_many``.
+
+    Per-element decryption pays one modular inversion of ``sk`` per
+    cell; ``decrypt_many`` shares one Montgomery batch inversion across
+    the grid (three multiplies per cell) and one batched dlog.
+    """
+    params = GroupParams.predefined(BITS)
+    rng = random.Random(14)
+    febo = Febo(params, rng=random.Random(15))
+    mpk, msk = febo.setup()
+    values = [rng.randrange(-100, 101) for _ in range(FEBO_CELLS)]
+    cts = [febo.encrypt(mpk, x) for x in values]
+    items = [(febo.key_derive(msk, ct.cmt, "*", 1), ct) for ct in cts]
+    bound = 101
+    solver = febo.solver_for(bound)
+
+    def per_element():
+        return [febo.decrypt(mpk, key, ct, bound, solver=solver)
+                for key, ct in items]
+
+    def batched():
+        return febo.decrypt_many(mpk, items, bound, solver=solver)
+
+    assert per_element() == batched() == values  # warm + correct
+    with Stopwatch() as sw_each:
+        for _ in range(FEBO_ROUNDS):
+            per_element()
+    with Stopwatch() as sw_many:
+        for _ in range(FEBO_ROUNDS):
+            batched()
+
+    speedup = sw_each.elapsed / max(sw_many.elapsed, 1e-9)
+    write_report("ablation_batchdot_febo", series_table(
+        ["pipeline", f"time for {FEBO_ROUNDS} x {FEBO_CELLS}-cell "
+                     f"'*'-by-1 grids, {BITS}-bit (s)"],
+        [["per-element decrypt (one inversion per cell)",
+          f"{sw_each.elapsed:.4f}"],
+         ["decrypt_many (one shared inversion)", f"{sw_many.elapsed:.4f}"],
+         ["speedup", f"{speedup:.2f}x"]]))
+    write_bench_json(
+        "ablation_batchdot_febo",
+        {"per_element_s": sw_each.elapsed, "decrypt_many_s": sw_many.elapsed},
+        speedups={"decrypt_many_vs_per_element": speedup},
+        meta={"bits": BITS, "rounds": FEBO_ROUNDS, "cells": FEBO_CELLS,
+              "gate": FEBO_GATE})
+    assert speedup >= FEBO_GATE, \
+        f"expected >= {FEBO_GATE}x, measured {speedup:.2f}x"

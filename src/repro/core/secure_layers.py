@@ -94,10 +94,15 @@ class _SecureBase:
 class _FeatureReconstructor(_SecureBase):
     """Recovers scaled features from FEBO ciphertexts for gradient steps.
 
-    Issues one multiplication key + decrypt per element (the identity
-    multiplier keeps the op inside F while avoiding fixed-point loss on
-    tiny gradient entries).  Results are cached per sample index when the
-    config allows, because every epoch revisits every sample.
+    Each element costs one multiplication key and one decrypt (the
+    identity multiplier keeps the op inside F while avoiding fixed-point
+    loss on tiny gradient entries).  A training step reconstructs all of
+    its not-yet-seen samples together: one key request (one envelope
+    when ``config.batch_key_requests`` is set) and one
+    :meth:`~repro.fe.febo.Febo.decrypt_many`, which shares a single
+    modular inversion across the whole step.  Results are cached per
+    sample index when the config allows, because every epoch revisits
+    every sample; an index repeated within a step is decrypted once.
     """
 
     def __init__(self, *args, **kwargs):
@@ -117,18 +122,29 @@ class _FeatureReconstructor(_SecureBase):
         self.counters.febo_decrypts += len(values)
         return values
 
-    def reconstruct(self, index: int, ciphertexts: Sequence,
-                    shape: tuple[int, ...]) -> np.ndarray:
-        """Scaled-feature array for one sample, cached by dataset index."""
-        if self.config.cache_reconstructed_features and index in self._feature_cache:
-            return self._feature_cache[index]
-        bound = int(self.config.max_abs_feature * self.config.scale) + 1
-        values = self._decrypt_elements(list(ciphertexts), bound)
-        array = np.array([v / self.config.scale for v in values],
-                         dtype=np.float64).reshape(shape)
-        if self.config.cache_reconstructed_features:
-            self._feature_cache[index] = array
-        return array
+    def reconstruct_many(self, indices: Sequence[int],
+                         ciphertexts: Sequence[Sequence],
+                         shape: tuple[int, ...]) -> np.ndarray:
+        """Stacked scaled-feature arrays, one per sample, cached by index.
+
+        ``ciphertexts[k]`` holds the FEBO ciphertexts of the sample at
+        dataset index ``indices[k]``; every sample has ``shape``.
+        """
+        known = (self._feature_cache
+                 if self.config.cache_reconstructed_features else {})
+        unseen: dict[int, Sequence] = {}
+        for index, sample_cts in zip(indices, ciphertexts):
+            if index not in known:
+                unseen.setdefault(index, sample_cts)
+        if unseen:
+            bound = int(self.config.max_abs_feature * self.config.scale) + 1
+            values = self._decrypt_elements(
+                [ct for sample_cts in unseen.values() for ct in sample_cts],
+                bound)
+            block = np.array([v / self.config.scale for v in values],
+                             dtype=np.float64).reshape(len(unseen), *shape)
+            known.update(zip(unseen, block))
+        return np.stack([known[index] for index in indices])
 
     def clear_cache(self) -> None:
         self._feature_cache.clear()
@@ -207,10 +223,10 @@ class SecureLinearInput(_FeatureReconstructor):
         """Fill the wrapped layer's W/b gradients from ``dL/dZ1``."""
         if self._last_batch is None or self._last_indices is None:
             raise RuntimeError("backward called before forward")
-        x = np.stack([
-            self.reconstruct(idx, sample.features_bo, (sample.n_features,))
-            for idx, sample in zip(self._last_indices, self._last_batch)
-        ])
+        batch = self._last_batch
+        x = self.reconstruct_many(
+            self._last_indices, [sample.features_bo for sample in batch],
+            (batch[0].n_features,))
         self.dense.grads["W"] = x.T @ grad_z
         self.dense.grads["b"] = grad_z.sum(axis=0)
 
@@ -304,10 +320,10 @@ class SecureConvInput(_FeatureReconstructor):
         """Fill the wrapped conv layer's W/b gradients from dL/dZ."""
         if self._last_batch is None or self._last_indices is None:
             raise RuntimeError("backward called before forward")
-        images = np.stack([
-            self.reconstruct(idx, image.pixels_bo.ravel(), image.image_shape)
-            for idx, image in zip(self._last_indices, self._last_batch)
-        ])
+        batch = self._last_batch
+        images = self.reconstruct_many(
+            self._last_indices, [image.pixels_bo.ravel() for image in batch],
+            batch[0].image_shape)
         cols, _ = im2col(images, self.conv.filter_size, self.conv.stride,
                          self.conv.padding)
         grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(
@@ -325,43 +341,30 @@ def _decrypt_label_subtractions(layer: _SecureBase, values: np.ndarray,
     """Decrypt ``Y - values`` element-wise against encrypted one-hot labels.
 
     Shared by both secure losses (cross-entropy gradient ``P - Y`` and
-    the MSE residuals).  Keys are derived in one batched request, and
-    the decrypt loop routes through the layer's persistent pool when it
-    has one.
+    the MSE residuals).  Keys are derived in one batched request and the
+    grid is decrypted serially by one :meth:`~repro.fe.febo.Febo
+    .decrypt_many`: with the inversion shared, a cell costs a few
+    microseconds, less than shipping it to a pool worker.
     """
     n, num_classes = values.shape
     bpk = layer.authority.febo_public_key()
     bound = layer.config.label_sub_bound()
+    cells = [labels[i].onehot_bo[c]
+             for i in range(n) for c in range(num_classes)]
     requests = [
-        (labels[i].onehot_bo[c].cmt, "-", layer.codec.encode(values[i, c]))
-        for i in range(n) for c in range(num_classes)
+        (ct.cmt, "-", layer.codec.encode(v))
+        for ct, v in zip(cells, values.ravel())
     ]
     with GLOBAL_TRACER.span("key-fetch", keys=len(requests)):
         keys = layer._request_febo_keys(requests)
     layer.counters.febo_keys_requested += len(keys)
     layer.counters.febo_decrypts += len(keys)
-    if layer._pool is not None and n:
-        tasks = [
-            (i, c, labels[i].onehot_bo[c], keys[i * num_classes + c])
-            for i in range(n) for c in range(num_classes)
-        ]
-        with GLOBAL_TRACER.span("pool-dispatch", n=len(tasks)):
-            grid = layer._pool.secure_elementwise(
-                layer.authority.params, bpk, tasks, (n, num_classes), bound)
-        return layer.codec.decode_array(grid)
     solver = layer._cache.get(layer._febo.group, bound)
     with GLOBAL_TRACER.span("decrypt-dlog", n=len(keys)):
-        values = layer._febo.decrypt_many(
-            bpk,
-            [(keys[i * num_classes + c], labels[i].onehot_bo[c])
-             for i in range(n) for c in range(num_classes)],
-            bound, solver=solver,
-        )
-    out = np.empty((n, num_classes), dtype=np.float64)
-    for i in range(n):
-        for c in range(num_classes):
-            out[i, c] = layer.codec.decode(values[i * num_classes + c])
-    return out
+        decrypted = layer._febo.decrypt_many(
+            bpk, list(zip(keys, cells)), bound, solver=solver)
+    return layer.codec.decode_array(
+        np.array(decrypted, dtype=object).reshape(n, num_classes))
 
 
 class SecureSoftmaxCrossEntropy(_SecureBase):

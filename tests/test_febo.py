@@ -1,5 +1,6 @@
 """Unit + property tests for the FEBO basic-operations scheme."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fe.errors import FunctionKeyError, UnsupportedOperationError
 from repro.fe.febo import Febo, FeboOp
-from repro.mathutils.dlog import DiscreteLogError
+from repro.mathutils.dlog import DiscreteLogError, SolverCache
+from repro.mathutils.group import (
+    PAPER_SECURITY_BITS,
+    TOY_SECURITY_BITS,
+    GroupParams,
+)
 
 values = st.integers(min_value=-500, max_value=500)
 
@@ -174,3 +180,89 @@ class TestDecryptMany:
         ]
         with pytest.raises(DiscreteLogError):
             febo.decrypt_many(mpk, items, bound=100)
+
+
+def _cell(op, a, b):
+    """``(x, op, y)`` with division made exact: ``(a*y) / y == a``."""
+    if op == "/":
+        y = b or 1
+        return a * y, op, y
+    return a, op, b
+
+
+cells = st.builds(_cell, st.sampled_from(["+", "-", "*", "/"]),
+                  st.integers(-50, 50), st.integers(-50, 50))
+batches = st.lists(cells, min_size=1, max_size=8)
+#: positions (mod batch length) whose (key, ciphertext) pair is repeated
+repeats = st.lists(st.integers(0, 7), max_size=4)
+DIFF_BOUND = 50 * 50 + 101
+
+_SCHEMES: dict[int, tuple] = {}
+
+
+def _scheme(bits: int):
+    """One FEBO instance and key pair per group size, shared by examples."""
+    if bits not in _SCHEMES:
+        febo = Febo(GroupParams.predefined(bits), rng=random.Random(bits),
+                    solver_cache=SolverCache())
+        _SCHEMES[bits] = (febo, *febo.setup())
+    return _SCHEMES[bits]
+
+
+def _items(febo, mpk, msk, batch, repeated):
+    items = []
+    for x, op, y in batch:
+        ct = febo.encrypt(mpk, x)
+        items.append((febo.key_derive(msk, ct.cmt, op, y), ct))
+    return items + [items[j % len(items)] for j in repeated]
+
+
+@pytest.mark.parametrize("bits", [TOY_SECURITY_BITS, PAPER_SECURITY_BITS])
+class TestDecryptManyDifferential:
+    """``decrypt_many`` (one shared inversion) == per-item ``decrypt``."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(batch=batches, repeated=repeats)
+    def test_matches_per_item_decrypt(self, bits, batch, repeated):
+        febo, mpk, msk = _scheme(bits)
+        items = _items(febo, mpk, msk, batch, repeated)
+        expected = [febo.decrypt(mpk, key, ct, DIFF_BOUND)
+                    for key, ct in items]
+        assert febo.decrypt_many(mpk, items, DIFF_BOUND) == expected
+        plain = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+                 "*": lambda x, y: x * y, "/": lambda x, y: x // y}
+        values = [plain[op](x, y) for x, op, y in batch]
+        assert expected == values + [values[j % len(values)]
+                                     for j in repeated]
+
+    def test_one_element_batch(self, bits):
+        febo, mpk, msk = _scheme(bits)
+        [(key, ct)] = _items(febo, mpk, msk, [(-84, "/", 7)], [])
+        assert febo.decrypt_many(mpk, [(key, ct)], DIFF_BOUND) == \
+            [febo.decrypt(mpk, key, ct, DIFF_BOUND)] == [-12]
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(batch=batches, position=st.integers(0, 8))
+    def test_key_for_other_commitment_raises(self, bits, batch, position):
+        febo, mpk, msk = _scheme(bits)
+        items = _items(febo, mpk, msk, batch, [])
+        other = febo.encrypt(mpk, 1)
+        stray = febo.key_derive(msk, other.cmt, "*", 1)
+        items.insert(position % (len(items) + 1), (stray, items[0][1]))
+        with pytest.raises(FunctionKeyError):
+            febo.decrypt_many(mpk, items, DIFF_BOUND)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(batch=batches, position=st.integers(0, 8),
+           multiple=st.integers(0, 2))
+    def test_non_invertible_key_raises(self, bits, batch, position,
+                                       multiple):
+        febo, mpk, msk = _scheme(bits)
+        items = _items(febo, mpk, msk, batch, [])
+        key, ct = items[position % len(items)]
+        broken = dataclasses.replace(key, sk=multiple * febo.group.p)
+        items[position % len(items)] = (broken, ct)
+        with pytest.raises(ValueError) as raised:
+            febo.decrypt_many(mpk, items, DIFF_BOUND)
+        # refused at the inversion, not by a dlog miss on a garbage element
+        assert not isinstance(raised.value, DiscreteLogError)

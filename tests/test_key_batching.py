@@ -100,11 +100,22 @@ class TestBatchedTraining:
         log = authority.traffic
         # first-layer rows + all per-sample loss keys: one envelope each
         assert log.message_count(protocol.KIND_FEIP_KEY_BATCH_REQUEST) == 2
-        # label subtraction + first-epoch feature reconstruction batches
-        assert log.message_count(protocol.KIND_FEBO_KEY_BATCH_REQUEST) == 1 + m
+        # label subtraction + one first-epoch feature reconstruction for
+        # the whole step: one envelope each
+        assert log.message_count(protocol.KIND_FEBO_KEY_BATCH_REQUEST) == 2
         # nothing recorded under the unbatched kinds
         assert log.message_count(protocol.KIND_FEIP_KEY_REQUEST) == 0
         assert log.message_count(protocol.KIND_FEBO_KEY_REQUEST) == 0
+
+    def test_unbatched_iteration_febo_message_counts(self):
+        k, n, m = 5, 4, 12
+        authority, trainer, _ = _one_iteration(False, k, n, m)
+        log = authority.traffic
+        # label subtraction + the step's feature reconstruction, each one
+        # request message carrying all of its keys
+        assert log.message_count(protocol.KIND_FEBO_KEY_REQUEST) == 2
+        assert log.message_count(protocol.KIND_FEBO_KEY_BATCH_REQUEST) == 0
+        assert trainer.counters.febo_keys_requested == m * 2 + m * n
 
     def test_batched_bytes_are_payload_plus_headers(self):
         k, n, m = 5, 4, 12

@@ -10,6 +10,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import protocol
 from repro.core.config import CryptoNNConfig
 from repro.core.entities import Client, TrustedAuthority
 from repro.core.secure_layers import (
@@ -82,6 +83,38 @@ class TestSecureLinearInput:
         secure.forward(enc.samples, np.arange(3))
         secure.backward(np.ones((3, 2)))
         assert secure.counters.febo_decrypts == decrypts_after_first
+
+    def test_step_reconstructs_only_unseen_samples(self, authority, client,
+                                                    np_rng):
+        n_features = 3
+        x = np_rng.uniform(-1, 1, size=(5, n_features))
+        enc = client.encrypt_tabular(x, np.zeros(5, dtype=int), num_classes=2)
+        dense = Dense(n_features, 2, rng=np_rng)
+        secure = SecureLinearInput(dense, authority, authority.config)
+        secure.forward([enc.samples[i] for i in (0, 1)], [0, 1])
+        secure.backward(np.ones((2, 2)))
+        requested = secure.counters.febo_keys_requested
+        requests = authority.traffic.message_count(
+            protocol.KIND_FEBO_KEY_REQUEST)
+        # 0 and 1 are cached, 2 repeats: only samples 2 and 3 are unseen
+        step = [1, 2, 3, 2, 0]
+        grad_z = np_rng.normal(size=(len(step), 2))
+        secure.forward([enc.samples[i] for i in step], step)
+        secure.backward(grad_z)
+        assert secure.counters.febo_keys_requested == \
+            requested + n_features * 2
+        assert authority.traffic.message_count(
+            protocol.KIND_FEBO_KEY_REQUEST) == requests + 1
+
+        uncached = Dense(n_features, 2, rng=np_rng)
+        uncached.params["W"][...] = dense.params["W"]
+        fresh = SecureLinearInput(
+            uncached, authority,
+            CryptoNNConfig(cache_reconstructed_features=False))
+        fresh.forward([enc.samples[i] for i in step], step)
+        fresh.backward(grad_z)
+        assert np.array_equal(dense.grads["W"], uncached.grads["W"])
+        assert np.array_equal(dense.grads["b"], uncached.grads["b"])
 
     def test_cache_disabled_repays_cost(self, np_rng):
         authority = TrustedAuthority(
