@@ -150,7 +150,13 @@ def batch_indices(n: int, batch_size: int,
 
 @dataclass
 class DecryptionCounters:
-    """Server-side operation counters (feed the performance benches)."""
+    """Server-side operation counters (feed the performance benches).
+
+    ``*_keys_requested`` count function keys actually requested from the
+    authority; ``*_decrypts`` count plaintext values recovered.  They
+    differ for FEBO feature reconstruction, where one key for a packed
+    pair of ciphertexts recovers two features.
+    """
 
     feip_decrypts: int = 0
     febo_decrypts: int = 0

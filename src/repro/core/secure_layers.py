@@ -21,6 +21,12 @@ every label/input-adjacent computation reduces to the permitted function
 set; the element-wise product is the member that applies here.  We request
 FEBO multiplication keys for the feature ciphertexts, decrypt the scaled
 features once per sample, and combine them with the plaintext deltas.
+Features are bounded, so ciphertexts go out in homomorphically packed
+pairs (:meth:`repro.fe.febo.Febo.pack`): one key per two features, and
+that key follows from the two per-element keys without revealing them.
+The recovered integers are checked exactly against the forward pass's
+FEIP results, which rejects an out-of-range feature the packing would
+alias and a client whose FEIP and FEBO ciphertexts disagree.
 This stays inside F but *is* the direct-inference capability the paper
 concedes for authorized decryptors (Section III-B remark); CryptoNN's
 framework-level mitigation (random label mapping) protects the labels,
@@ -41,6 +47,8 @@ from repro.core.encdata import (
     EncryptedSample,
 )
 from repro.core.entities import TrustedAuthority
+from repro.fe.errors import CiphertextError
+from repro.fe.febo import packed_bound, unpack
 from repro.nn.activations import log_softmax, softmax
 from repro.nn.conv import Conv2D, conv_out_dims, im2col
 from repro.nn.layers import Dense
@@ -94,33 +102,60 @@ class _SecureBase:
 class _FeatureReconstructor(_SecureBase):
     """Recovers scaled features from FEBO ciphertexts for gradient steps.
 
-    Each element costs one multiplication key and one decrypt (the
-    identity multiplier keeps the op inside F while avoiding fixed-point
-    loss on tiny gradient entries).  A training step reconstructs all of
-    its not-yet-seen samples together: one key request (one envelope
-    when ``config.batch_key_requests`` is set) and one
-    :meth:`~repro.fe.febo.Febo.decrypt_many`, which shares a single
-    modular inversion across the whole step.  Results are cached per
-    sample index when the config allows, because every epoch revisits
-    every sample; an index repeated within a step is decrypted once.
+    A training step reconstructs all of its not-yet-seen samples
+    together: one key request (one envelope when
+    ``config.batch_key_requests`` is set) and one
+    :meth:`~repro.fe.febo.Febo.decrypt_many`.  Consecutive elements are
+    packed in pairs (:meth:`~repro.fe.febo.Febo.pack`) so each identity
+    key (``*`` by 1, which stays inside F without fixed-point loss)
+    decrypts two features; an odd last element keeps its own key and
+    the per-element bound.  The packed solve rejects an out-of-range high
+    digit, and an exact comparison against the last training forward
+    pass (:meth:`_forward_integers`) rejects an out-of-range low digit,
+    which the packing would otherwise alias into its neighbour.
+    Results are cached per sample index when the config allows, because
+    every epoch revisits every sample; an index repeated within a step
+    is decrypted once.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._feature_cache: dict[int, np.ndarray] = {}
+        # encoded first-layer weights and the integer FEIP results (one
+        # entry per sample) of the last training forward pass
+        self._last_weights: np.ndarray | None = None
+        self._last_z: np.ndarray | None = None
 
-    def _decrypt_elements(self, ciphertexts: Sequence, bound: int) -> list[int]:
-        requests = [(ct.cmt, "*", 1) for ct in ciphertexts]
+    def _decrypt_elements(self, ciphertexts: Sequence,
+                          bound: int) -> list[int]:
+        febo = self._febo
+        pairs = len(ciphertexts) // 2
+        packed = [febo.pack(ciphertexts[2 * k], ciphertexts[2 * k + 1], bound)
+                  for k in range(pairs)]
+        single = list(ciphertexts[2 * pairs:])
+        requests = [(ct.cmt, "*", 1) for ct in packed + single]
         with GLOBAL_TRACER.span("key-fetch", keys=len(requests)):
             keys = self._request_febo_keys(requests)
         self.counters.febo_keys_requested += len(keys)
         bpk = self.authority.febo_public_key()
-        solver = self._cache.get(self._febo.group, bound)
-        with GLOBAL_TRACER.span("decrypt-dlog", n=len(keys)):
-            values = self._febo.decrypt_many(
-                bpk, list(zip(keys, ciphertexts)), bound, solver=solver)
+        wide = packed_bound(bound)
+        solver = self._cache.get(febo.group, wide)
+        values: list[int] = []
+        with GLOBAL_TRACER.span("decrypt-dlog", n=len(ciphertexts)):
+            for value in febo.decrypt_many(
+                    bpk, list(zip(keys, packed)), wide, solver=solver):
+                values.extend(unpack(value, bound))
+            if single:
+                values.append(febo.decrypt(
+                    bpk, keys[-1], single[0], bound,
+                    solver=self._cache.get(febo.group, bound)))
         self.counters.febo_decrypts += len(values)
         return values
+
+    def _forward_integers(self, features: np.ndarray) -> np.ndarray:
+        """The integer forward results of ``features`` (encoded samples)
+        under ``_last_weights``, laid out like the rows of ``_last_z``."""
+        raise NotImplementedError
 
     def reconstruct_many(self, indices: Sequence[int],
                          ciphertexts: Sequence[Sequence],
@@ -128,22 +163,30 @@ class _FeatureReconstructor(_SecureBase):
         """Stacked scaled-feature arrays, one per sample, cached by index.
 
         ``ciphertexts[k]`` holds the FEBO ciphertexts of the sample at
-        dataset index ``indices[k]``; every sample has ``shape``.
+        dataset index ``indices[k]`` -- position ``k`` of the last
+        forward batch; every sample has ``shape``.
         """
         known = (self._feature_cache
                  if self.config.cache_reconstructed_features else {})
-        unseen: dict[int, Sequence] = {}
-        for index, sample_cts in zip(indices, ciphertexts):
+        unseen: dict[int, int] = {}  # dataset index -> batch position
+        for position, index in enumerate(indices):
             if index not in known:
-                unseen.setdefault(index, sample_cts)
+                unseen.setdefault(index, position)
         if unseen:
             bound = int(self.config.max_abs_feature * self.config.scale) + 1
             values = self._decrypt_elements(
-                [ct for sample_cts in unseen.values() for ct in sample_cts],
+                [ct for position in unseen.values()
+                 for ct in ciphertexts[position]],
                 bound)
-            block = np.array([v / self.config.scale for v in values],
-                             dtype=np.float64).reshape(len(unseen), *shape)
-            known.update(zip(unseen, block))
+            block = np.array(values, dtype=np.int64).reshape(
+                len(unseen), *shape)
+            if not np.array_equal(self._forward_integers(block),
+                                  self._last_z[list(unseen.values())]):
+                raise CiphertextError(
+                    "reconstructed features disagree with the forward "
+                    "pass: a feature is out of range or its FEIP and "
+                    "FEBO ciphertexts differ")
+            known.update(zip(unseen, block / self.config.scale))
         return np.stack([known[index] for index in indices])
 
     def clear_cache(self) -> None:
@@ -198,26 +241,31 @@ class SecureLinearInput(_FeatureReconstructor):
                     [sample.features_ip for sample in batch], keys, bound,
                 )
             self.counters.feip_decrypts += len(batch) * len(keys)
-            z = self.codec.decode_array(flat.T, power=2)
+            z_int = flat.T
         else:
             # batched per sample: all hidden units share the sample's
             # ciphertext bases, so decrypt_rows builds the window tables
             # and walks the dlog stride once per sample, not per unit
             solver = self._solver(bound)
-            z = np.empty((len(batch), len(keys)), dtype=np.float64)
+            z_int = np.empty((len(batch), len(keys)), dtype=object)
             with GLOBAL_TRACER.span("decrypt-dlog",
                                     n=len(batch) * len(keys)):
                 for n, sample in enumerate(batch):
-                    values = self._feip.decrypt_rows(
+                    z_int[n] = self._feip.decrypt_rows(
                         mpk, sample.features_ip, keys, bound, solver=solver)
-                    z[n] = [self.codec.decode(v, power=2) for v in values]
                     self.counters.feip_decrypts += len(keys)
+        z = self.codec.decode_array(z_int, power=2)
         z += self.dense.params["b"]
         if training:
             self._last_batch = batch
             self._last_indices = list(indices) if indices is not None \
                 else list(range(len(batch)))
+            self._last_weights = np.array(rows, dtype=np.int64).T
+            self._last_z = z_int
         return z
+
+    def _forward_integers(self, features: np.ndarray) -> np.ndarray:
+        return features @ self._last_weights
 
     def backward(self, grad_z: np.ndarray) -> None:
         """Fill the wrapped layer's W/b gradients from ``dL/dZ1``."""
@@ -248,7 +296,6 @@ class SecureConvInput(_FeatureReconstructor):
         self.conv = conv
         self._last_batch: Sequence[EncryptedImage] | None = None
         self._last_indices: Sequence[int] | None = None
-        self._last_out_dims: tuple[int, int] | None = None
 
     def _encoded_filter_rows(self) -> list[list[int]]:
         w = np.clip(self.conv.params["W"], -self.config.max_abs_weight,
@@ -270,15 +317,17 @@ class SecureConvInput(_FeatureReconstructor):
         mpk = self.authority.feip_public_key(window_length)
         bound = self.config.dot_bound(window_length)
         if self._pool is not None and batch:
-            out = self._forward_parallel(batch, keys, mpk, bound)
+            z_int = self._forward_parallel(batch, keys, mpk, bound)
         else:
-            out = self._forward_serial(batch, keys, mpk, bound)
+            z_int = self._forward_serial(batch, keys, mpk, bound)
+        out = self.codec.decode_array(z_int, power=2)
         out += self.conv.params["b"][np.newaxis, :, np.newaxis, np.newaxis]
         if training:
             self._last_batch = batch
             self._last_indices = list(indices) if indices is not None \
                 else list(range(len(batch)))
-            self._last_out_dims = out.shape[2:]
+            self._last_weights = np.array(rows, dtype=np.int64)
+            self._last_z = z_int
         return out
 
     def _forward_serial(self, batch, keys, mpk, bound) -> np.ndarray:
@@ -286,15 +335,12 @@ class SecureConvInput(_FeatureReconstructor):
         outputs = []
         for image in batch:
             out_h, out_w = image.windows.out_shape
-            z = np.empty((len(keys), out_h, out_w), dtype=np.float64)
+            z = np.empty((len(keys), out_h, out_w), dtype=object)
             for pos, window_ct in enumerate(image.windows.windows):
                 # whole filter bank against one window ciphertext: the
                 # patch loop shares base tables across all filters
-                values = self._feip.decrypt_rows(mpk, window_ct, keys,
-                                                 bound, solver=solver)
-                z[:, pos // out_w, pos % out_w] = [
-                    self.codec.decode(v, power=2) for v in values
-                ]
+                z[:, pos // out_w, pos % out_w] = self._feip.decrypt_rows(
+                    mpk, window_ct, keys, bound, solver=solver)
                 self.counters.feip_decrypts += len(keys)
             outputs.append(z)
         return np.stack(outputs)
@@ -313,8 +359,14 @@ class SecureConvInput(_FeatureReconstructor):
             (len(batch) * out_h, out_w), keys, bound,
         )
         self.counters.feip_decrypts += len(all_windows) * len(keys)
-        flat_rows = flat.reshape(len(keys), len(batch), out_h, out_w)
-        return self.codec.decode_array(flat_rows, power=2).transpose(1, 0, 2, 3)
+        return flat.reshape(len(keys), len(batch), out_h, out_w).transpose(
+            1, 0, 2, 3)
+
+    def _forward_integers(self, images: np.ndarray) -> np.ndarray:
+        cols, (out_h, out_w) = im2col(images, self.conv.filter_size,
+                                      self.conv.stride, self.conv.padding)
+        return (cols @ self._last_weights.T).reshape(
+            len(images), out_h, out_w, -1).transpose(0, 3, 1, 2)
 
     def backward(self, grad_out: np.ndarray) -> None:
         """Fill the wrapped conv layer's W/b gradients from dL/dZ."""

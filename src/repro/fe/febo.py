@@ -196,6 +196,45 @@ class Febo:
         solver = solver or self.solver_for(bound)
         return solver.solve_many(elements)
 
+    def pack(self, low: FeboCiphertext, high: FeboCiphertext,
+             digit_bound: int) -> FeboCiphertext:
+        """Fold two ciphertexts into one encrypting ``x_low + B * x_high``.
+
+        FEBO is ElGamal-shaped, so ``(cmt_low * cmt_high^B, ct_low *
+        ct_high^B)`` is an honest ciphertext under the nonce ``r_low + B *
+        r_high``, with ``B = 2 * digit_bound + 1``.  One ``*``-by-1 key for
+        its commitment recovers both plaintexts through :func:`unpack`,
+        provided each lies in ``[-digit_bound, digit_bound]``; that key
+        follows from the two per-element keys but reveals neither.
+        """
+        group = self.group
+        base = 2 * digit_bound + 1
+        return FeboCiphertext(
+            cmt=group.mul(low.cmt, group.exp(high.cmt, base)),
+            ct=group.mul(low.ct, group.exp(high.ct, base)),
+        )
+
     def solver_for(self, bound: int) -> DlogSolver:
         """Public accessor for the cached bounded-dlog solver."""
         return self._solver_cache.get(self.group, bound)
+
+
+def packed_bound(digit_bound: int) -> int:
+    """Exact dlog bound of a :meth:`Febo.pack` result, ``b * (B + 1)``.
+
+    Any pair whose high digit leaves ``[-b, b]`` while the low digit stays
+    inside lands beyond it, so the packed solve itself rejects it.
+    """
+    return digit_bound * (2 * digit_bound + 2)
+
+
+def unpack(value: int, digit_bound: int) -> tuple[int, int]:
+    """Split a decrypted :meth:`Febo.pack` result into ``(x_low, x_high)``.
+
+    Balanced base-``B`` digits, each in ``[-digit_bound, digit_bound]``.
+    An out-of-range low digit aliases into the high one, so callers must
+    check the digits against an independent result.
+    """
+    base = 2 * digit_bound + 1
+    low = (value + digit_bound) % base - digit_bound
+    return low, (value - low) // base

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from collections import OrderedDict
 from collections.abc import Sequence
 
@@ -37,6 +38,49 @@ class DiscreteLogError(ValueError):
 DENSE_TABLE_CAP = 1 << 15
 
 
+class _BabySteps(dict):
+    """``{g^j: j}``; a ``dict`` subclass so it can be weakly referenced."""
+
+    __slots__ = ("__weakref__",)
+
+
+class BabyStepTables:
+    """Baby-step tables ``{g^j: j}`` shared by every solver of one size.
+
+    A table depends only on ``(p, g, table_size)``, not on the bound it
+    serves, and every window wider than :data:`DENSE_TABLE_CAP` gets a
+    cap-sized table -- so dot-product, loss and packed-reconstruction
+    solvers of one group would otherwise each hold an identical copy.
+    Values are weak: a table lives exactly as long as some solver uses
+    it, so LRU-evicting or dropping its last solver frees it.  Builds
+    happen under the lock, so two threads never build the same table.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._tables: weakref.WeakValueDictionary[
+            tuple[int, int, int], _BabySteps] = weakref.WeakValueDictionary()
+
+    def get(self, group: SchnorrGroup, table_size: int) -> dict[int, int]:
+        key = (group.p, group.g, table_size)
+        with self._lock:
+            table = self._tables.get(key)
+            if table is None:
+                table = _BabySteps()
+                element = 1
+                g, p = group.g, group.p
+                for j in range(table_size):
+                    table.setdefault(element, j)
+                    element = element * g % p
+                self._tables[key] = table
+            return table
+
+
+#: Process-wide table registry every :class:`DlogSolver` draws from
+#: unless handed its own.
+GLOBAL_BABY_STEP_TABLES = BabyStepTables()
+
+
 class DlogSolver:
     """Baby-step giant-step solver for ``g ** m = h (mod p)``, ``|m| <= bound``.
 
@@ -46,10 +90,15 @@ class DlogSolver:
     lookups.  ``table_size`` defaults to the full window when that fits
     under :data:`DENSE_TABLE_CAP` (making queries O(1)), else to the
     larger of the cap and the classic ``ceil(sqrt(window))`` balance.
+
+    The table itself comes from ``tables`` (default
+    :data:`GLOBAL_BABY_STEP_TABLES`), so solvers of the same group and
+    table size share one table object, whatever their bounds.
     """
 
     def __init__(self, group: SchnorrGroup, bound: int,
-                 table_size: int | None = None):
+                 table_size: int | None = None,
+                 tables: BabyStepTables | None = None):
         if bound < 0:
             raise ValueError("bound must be non-negative")
         if 2 * bound + 1 >= group.q:
@@ -61,21 +110,13 @@ class DlogSolver:
             classic = math.isqrt(window - 1) + 1
             table_size = min(window, max(classic, DENSE_TABLE_CAP))
         self.table_size = max(1, table_size)
-        self._baby_steps = self._build_table()
+        self._baby_steps = (tables or GLOBAL_BABY_STEP_TABLES).get(
+            group, self.table_size)
         # giant step multiplies by g^{-table_size}
         self._giant_step = group.exp(group.g, -self.table_size)
         self._max_giant_steps = (window + self.table_size - 1) // self.table_size
         # window-shift element g^bound, reused by every solve() query
         self._shift = group.gexp(self.bound)
-
-    def _build_table(self) -> dict[int, int]:
-        table: dict[int, int] = {}
-        element = 1
-        g, p = self.group.g, self.group.p
-        for j in range(self.table_size):
-            table.setdefault(element, j)
-            element = element * g % p
-        return table
 
     def solve(self, h: int) -> int:
         """Return the signed exponent ``m`` with ``g^m == h``.
@@ -196,6 +237,9 @@ class SolverCache:
     Building the baby-step table is the expensive part of decryption;
     training touches the same handful of bounds over and over, so the
     secure-computation layer routes all dlog queries through one of these.
+    Solvers of different bounds may share one table (see
+    :class:`BabyStepTables`); evicting a solver frees its table only once
+    no other solver uses it.
 
     ``max_entries`` bounds the cache with least-recently-used eviction;
     the default (None) keeps it unbounded, which is what in-process

@@ -50,9 +50,10 @@ def jacobi_symbol(a: int, n: int) -> int:
     For prime ``n`` this is the Legendre symbol: 1 when ``a`` is a
     quadratic residue mod ``n``, -1 when it is not, 0 when ``n``
     divides ``a``.  Binary quadratic-reciprocity algorithm -- O(log^2)
-    bit operations, two orders of magnitude cheaper than the
-    ``pow(a, q, p)`` subgroup test at 256 bits, which is what makes
-    per-element ciphertext validation affordable on the ingestion path.
+    bit operations, about 3x cheaper than the ``pow(a, q, p)`` subgroup
+    test at 256 bits (~55 us against ~170-200 us on one Xeon core),
+    which keeps per-element ciphertext validation affordable on the
+    ingestion path.
 
     Raises:
         ValueError: if ``n`` is even or not positive.

@@ -1,14 +1,20 @@
 """Unit tests for the bounded discrete-log solver."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.mathutils.dlog import (
+    DENSE_TABLE_CAP,
+    BabyStepTables,
     DiscreteLogError,
     DlogSolver,
     SolverCache,
     discrete_log_linear,
 )
+from repro.mathutils.group import GroupParams, SchnorrGroup
 
 
 class TestDlogSolver:
@@ -167,3 +173,59 @@ class TestSolverCache:
             GLOBAL_SOLVER_CACHE_ENTRIES,
         )
         assert GLOBAL_SOLVER_CACHE.max_entries == GLOBAL_SOLVER_CACHE_ENTRIES
+
+
+class TestSharedTables:
+    """Solvers of one (group, table size) share one weakly held table."""
+
+    def test_same_group_and_size_share_one_table(self, group):
+        # both windows exceed the cap, so both get a cap-sized table
+        wide = DlogSolver(group, bound=DENSE_TABLE_CAP)
+        wider = DlogSolver(group, bound=5 * DENSE_TABLE_CAP)
+        assert wide.table_size == wider.table_size == DENSE_TABLE_CAP
+        assert wide._baby_steps is wider._baby_steps
+        assert DlogSolver(group, 500, table_size=37)._baby_steps is \
+            DlogSolver(group, 900, table_size=37)._baby_steps
+        assert DlogSolver(group, 100)._baby_steps is not wide._baby_steps
+        other = SchnorrGroup(GroupParams.predefined(48))
+        assert DlogSolver(other, bound=DENSE_TABLE_CAP)._baby_steps is \
+            not wide._baby_steps
+
+    @pytest.mark.parametrize("bound", [
+        DENSE_TABLE_CAP // 4,  # window below the cap: dense, O(1) solve
+        20604,  # packed feature pairs: window just past the cap
+        3 * DENSE_TABLE_CAP,  # several giant steps per solve
+    ])
+    def test_shared_table_solves_like_a_private_one(self, group, rng, bound):
+        shared = DlogSolver(group, bound)
+        private = DlogSolver(group, bound, tables=BabyStepTables())
+        assert shared._baby_steps is not private._baby_steps
+        values = [rng.randrange(-bound, bound + 1) for _ in range(40)]
+        values += [bound, -bound, 0]
+        targets = [group.gexp(v) for v in values]
+        assert shared.solve_many(targets) == private.solve_many(targets) \
+            == values
+        assert [shared.solve(h) for h in targets[:5]] == values[:5]
+        outside = group.gexp(bound + 1)
+        for solver in (shared, private):
+            with pytest.raises(DiscreteLogError):
+                solver.solve(outside)
+
+    def test_dropping_every_user_frees_the_table(self, group):
+        first = DlogSolver(group, 700, table_size=41)
+        second = DlogSolver(group, 800, table_size=41)
+        table = weakref.ref(first._baby_steps)
+        del first
+        gc.collect()
+        assert table() is second._baby_steps  # still in use
+        del second
+        gc.collect()
+        assert table() is None
+
+    def test_lru_eviction_frees_the_table(self, group):
+        cache = SolverCache(max_entries=1)
+        table = weakref.ref(cache.get(group, 4321)._baby_steps)
+        cache.get(group, 10)  # evicts the only user of the 4321 table
+        gc.collect()
+        assert table() is None
+        assert cache.stats()["evictions"] == 1

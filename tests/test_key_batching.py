@@ -6,6 +6,7 @@ the per-request message fan-out the paper's Section IV-B2 formula
 counts.
 """
 
+import math
 import random
 
 import numpy as np
@@ -115,7 +116,9 @@ class TestBatchedTraining:
         # request message carrying all of its keys
         assert log.message_count(protocol.KIND_FEBO_KEY_REQUEST) == 2
         assert log.message_count(protocol.KIND_FEBO_KEY_BATCH_REQUEST) == 0
-        assert trainer.counters.febo_keys_requested == m * 2 + m * n
+        # one key per label cell, one per packed pair of features
+        assert trainer.counters.febo_keys_requested == \
+            m * 2 + math.ceil(m * n / 2)
 
     def test_batched_bytes_are_payload_plus_headers(self):
         k, n, m = 5, 4, 12

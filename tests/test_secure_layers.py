@@ -5,6 +5,7 @@ plaintext counterpart up to fixed-point quantization (absolute error
 bounded by a small multiple of 1/scale).
 """
 
+import math
 import random
 
 import numpy as np
@@ -96,13 +97,14 @@ class TestSecureLinearInput:
         requested = secure.counters.febo_keys_requested
         requests = authority.traffic.message_count(
             protocol.KIND_FEBO_KEY_REQUEST)
-        # 0 and 1 are cached, 2 repeats: only samples 2 and 3 are unseen
+        # 0 and 1 are cached, 2 repeats: only samples 2 and 3 are unseen;
+        # their features go out packed two per key
         step = [1, 2, 3, 2, 0]
         grad_z = np_rng.normal(size=(len(step), 2))
         secure.forward([enc.samples[i] for i in step], step)
         secure.backward(grad_z)
         assert secure.counters.febo_keys_requested == \
-            requested + n_features * 2
+            requested + math.ceil(n_features * 2 / 2)
         assert authority.traffic.message_count(
             protocol.KIND_FEBO_KEY_REQUEST) == requests + 1
 
