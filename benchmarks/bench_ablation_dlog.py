@@ -12,7 +12,7 @@ import random
 
 from benchmarks.conftest import series_table, write_report
 from repro.fe.feip import Feip
-from repro.mathutils.dlog import DlogSolver
+from repro.mathutils.dlog import BabyStepTables, DlogSolver
 from repro.utils.timer import Stopwatch
 
 BATCH = 200
@@ -29,11 +29,13 @@ def test_dlog_cache_ablation(benchmark, bench_params):
     elements = [feip.decrypt_raw(mpk, ct, key) for ct in cts]
 
     def cached():
-        solver = DlogSolver(feip.group, BOUND)
+        solver = DlogSolver(feip.group, BOUND, tables=BabyStepTables())
         return [solver.solve(e) for e in elements]
 
     def uncached():
-        return [DlogSolver(feip.group, BOUND).solve(e) for e in elements]
+        # a private registry per solver, so no live solver's table is reused
+        return [DlogSolver(feip.group, BOUND, tables=BabyStepTables()).solve(e)
+                for e in elements]
 
     with Stopwatch() as sw_cached:
         res_cached = cached()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from benchmarks.conftest import series_table, write_report
-from repro.mathutils.dlog import DlogSolver
+from repro.mathutils.dlog import BabyStepTables, DlogSolver
 from repro.mathutils.group import SchnorrGroup
 from repro.mathutils.kangaroo import KangarooSolver
 from repro.utils.timer import Stopwatch
@@ -30,7 +30,9 @@ def test_bsgs_vs_kangaroo(benchmark, bench_params):
     kangaroo = KangarooSolver(group, BOUND)
 
     with Stopwatch() as sw_build:
-        DlogSolver(group, BOUND)  # isolate table-build cost
+        # isolate table-build cost: a private registry cannot reuse the
+        # table `bsgs` already holds
+        DlogSolver(group, BOUND, tables=BabyStepTables())
     with Stopwatch() as sw_bsgs:
         res_bsgs = [bsgs.solve(t) for t in targets]
     with Stopwatch() as sw_kangaroo:

@@ -25,8 +25,10 @@ Features are bounded, so ciphertexts go out in homomorphically packed
 pairs (:meth:`repro.fe.febo.Febo.pack`): one key per two features, and
 that key follows from the two per-element keys without revealing them.
 The recovered integers are checked exactly against the forward pass's
-FEIP results, which rejects an out-of-range feature the packing would
-alias and a client whose FEIP and FEBO ciphertexts disagree.
+FEIP results.  That rejects an out-of-range feature the packing would
+alias, or FEIP and FEBO ciphertexts that disagree, whenever the mismatch
+changes the integer forward result under the current encoded weights;
+whatever passes reproduces the FEIP forward exactly.
 This stays inside F but *is* the direct-inference capability the paper
 concedes for authorized decryptors (Section III-B remark); CryptoNN's
 framework-level mitigation (random label mapping) protects the labels,
@@ -108,11 +110,14 @@ class _FeatureReconstructor(_SecureBase):
     :meth:`~repro.fe.febo.Febo.decrypt_many`.  Consecutive elements are
     packed in pairs (:meth:`~repro.fe.febo.Febo.pack`) so each identity
     key (``*`` by 1, which stays inside F without fixed-point loss)
-    decrypts two features; an odd last element keeps its own key and
-    the per-element bound.  The packed solve rejects an out-of-range high
-    digit, and an exact comparison against the last training forward
-    pass (:meth:`_forward_integers`) rejects an out-of-range low digit,
-    which the packing would otherwise alias into its neighbour.
+    decrypts two features; an odd last element is packed with itself.
+    The packed solve rejects an out-of-range high digit, and an exact
+    comparison against the last training forward pass
+    (:meth:`_forward_integers`) rejects an out-of-range low digit, which
+    the packing would otherwise alias into its neighbour, whenever the
+    aliasing changes the forward integers.  With encoded weights below
+    ``B`` in magnitude it misses one only when the encoded weights of
+    both features of the pair are all zero.
     Results are cached per sample index when the config allows, because
     every epoch revisits every sample; an index repeated within a step
     is decrypted once.
@@ -129,11 +134,13 @@ class _FeatureReconstructor(_SecureBase):
     def _decrypt_elements(self, ciphertexts: Sequence,
                           bound: int) -> list[int]:
         febo = self._febo
-        pairs = len(ciphertexts) // 2
-        packed = [febo.pack(ciphertexts[2 * k], ciphertexts[2 * k + 1], bound)
-                  for k in range(pairs)]
-        single = list(ciphertexts[2 * pairs:])
-        requests = [(ct.cmt, "*", 1) for ct in packed + single]
+        n = len(ciphertexts)
+        # an odd last element pairs with itself: it decrypts to x * (B + 1),
+        # inside the packed bound exactly when |x| <= bound
+        packed = [febo.pack(ciphertexts[k], ciphertexts[min(k + 1, n - 1)],
+                            bound)
+                  for k in range(0, n, 2)]
+        requests = [(ct.cmt, "*", 1) for ct in packed]
         with GLOBAL_TRACER.span("key-fetch", keys=len(requests)):
             keys = self._request_febo_keys(requests)
         self.counters.febo_keys_requested += len(keys)
@@ -141,15 +148,12 @@ class _FeatureReconstructor(_SecureBase):
         wide = packed_bound(bound)
         solver = self._cache.get(febo.group, wide)
         values: list[int] = []
-        with GLOBAL_TRACER.span("decrypt-dlog", n=len(ciphertexts)):
+        with GLOBAL_TRACER.span("decrypt-dlog", n=n):
             for value in febo.decrypt_many(
                     bpk, list(zip(keys, packed)), wide, solver=solver):
                 values.extend(unpack(value, bound))
-            if single:
-                values.append(febo.decrypt(
-                    bpk, keys[-1], single[0], bound,
-                    solver=self._cache.get(febo.group, bound)))
-        self.counters.febo_decrypts += len(values)
+        del values[n:]
+        self.counters.febo_decrypts += n
         return values
 
     def _forward_integers(self, features: np.ndarray) -> np.ndarray:

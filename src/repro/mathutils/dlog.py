@@ -292,7 +292,11 @@ class SolverCache:
             return len(self._solvers)
 
     def stats(self) -> dict[str, int]:
-        """Consistent counter snapshot (one lock acquisition)."""
+        """Consistent counter snapshot (one lock acquisition).
+
+        ``builds`` counts solvers constructed, not baby-step tables: a new
+        solver reuses a live table of its size from :class:`BabyStepTables`.
+        """
         with self._lock:
             return {
                 "entries": len(self._solvers),

@@ -171,7 +171,7 @@ class TestOutOfRangeStillRaises:
     @pytest.mark.parametrize("values, error", [
         ([150, 10], CiphertextError),   # low digit: aliases, caught by check
         ([10, 150], DiscreteLogError),  # high digit: beyond the packed bound
-        ([10, 20, 150], DiscreteLogError),  # unpaired: per-element bound
+        ([10, 20, 150], DiscreteLogError),  # unpaired: packed with itself
     ])
     def test_dense(self, authority, values, error):
         sample = _sample(authority, values)
