@@ -8,15 +8,17 @@ share the exact same ciphertext bases ``(ct_0, ct_1..ct_eta)``.  The
 batched engine amortizes everything shareable across the batch
 dimension:
 
-* :class:`~repro.mathutils.fastexp.SharedBaseMultiExp` builds the
-  per-base odd-power window tables once per column and evaluates all m
-  signed exponent rows against them;
-* the ``ct_0^{-sk}`` half -- the single most expensive per-row term, a
-  full-width exponentiation -- goes through a per-column fixed-base comb
-  sized for the batch (:func:`~repro.mathutils.fastexp
-  .amortized_comb_window`);
+* :meth:`~repro.fe.feip.Feip.plan_rows` recodes the m keys once into a
+  :class:`~repro.mathutils.fastexp.RowPlan`, shared by every column:
+  each full-width ``-sk`` becomes a Lim-Lee comb schedule and the small
+  signed weights, offset to unsigned, ride the bottom of the same
+  squaring chain;
+* per column, ``decrypt_rows`` builds the comb's subset products of
+  ``ct_0`` and one 16-entry table per four ``ct_i``, then walks one
+  short chain per row;
 * :meth:`~repro.mathutils.dlog.DlogSolver.solve_many` dedups the m
-  targets and shares one giant-step walk.
+  targets (and, when the window exceeds the baby-step table, advances
+  them through one giant-step walk).
 
 The acceptance gate asserts the combined effect: >= 2x wall clock on an
 m x eta secure dot at the paper's 256-bit parameter versus the PR 1
@@ -77,7 +79,8 @@ def test_batched_vs_per_row_secure_dot(benchmark):
                 for key in keys]
 
     def batched_pipeline():
-        z = [feip.decrypt_rows(mpk, ct, keys, bound, solver=solver)
+        plan = feip.plan_rows(keys)  # once per key set, as training does
+        z = [feip.decrypt_rows(mpk, ct, plan, bound, solver=solver)
              for ct in cts]
         return [[z[j][i] for j in range(len(cts))]
                 for i in range(len(keys))]

@@ -6,8 +6,10 @@ through ``group.exp``/``exp_cached``/``fastexp.multiexp`` so the comb
 tables and small signed-exponent forms apply.  A companion pathology
 from PR 1: reducing an exponent argument with full-width ``% q`` before
 handing it to the exponentiator destroys the small signed form the
-fast path depends on.  ``mathutils/`` itself is exempt -- it is where
-the real ``pow`` lives.
+fast path depends on.  ``RowPlan`` takes whole exponent sequences, so
+the check looks inside each argument (a comprehension reducing every
+row with ``% q`` is the same pathology).  ``mathutils/`` itself is
+exempt -- it is where the real ``pow`` lives.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import ast
 
 from repro.analysis.core import Rule, SourceFile, register
 
-_EXP_CALLEES = {"exp", "gexp", "exp_cached", "multiexp", "eval_many"}
+_EXP_CALLEES = {"exp", "gexp", "exp_cached", "multiexp", "RowPlan"}
 
 
 def _is_q_mod(node: ast.AST) -> bool:
@@ -59,7 +61,7 @@ class HotPathPowRule(Rule):
             if callee not in _EXP_CALLEES:
                 continue
             args = list(node.args) + [kw.value for kw in node.keywords]
-            for arg in args:
+            for arg in (sub for top in args for sub in ast.walk(top)):
                 if _is_q_mod(arg):
                     findings.append(self.finding(
                         src.rel, arg.lineno,

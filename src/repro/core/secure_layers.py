@@ -247,16 +247,17 @@ class SecureLinearInput(_FeatureReconstructor):
             self.counters.feip_decrypts += len(batch) * len(keys)
             z_int = flat.T
         else:
-            # batched per sample: all hidden units share the sample's
-            # ciphertext bases, so decrypt_rows builds the window tables
-            # and walks the dlog stride once per sample, not per unit
+            # batched per sample: the step's keys are recoded into one
+            # plan, and each sample's ciphertext gets one set of tables
+            # that every hidden unit reads
             solver = self._solver(bound)
             z_int = np.empty((len(batch), len(keys)), dtype=object)
             with GLOBAL_TRACER.span("decrypt-dlog",
                                     n=len(batch) * len(keys)):
+                plan = self._feip.plan_rows(keys)
                 for n, sample in enumerate(batch):
                     z_int[n] = self._feip.decrypt_rows(
-                        mpk, sample.features_ip, keys, bound, solver=solver)
+                        mpk, sample.features_ip, plan, bound, solver=solver)
                     self.counters.feip_decrypts += len(keys)
         z = self.codec.decode_array(z_int, power=2)
         z += self.dense.params["b"]
@@ -314,7 +315,8 @@ class SecureConvInput(_FeatureReconstructor):
                 training: bool = True) -> np.ndarray:
         """Return pre-activations of shape (N, F, out_h, out_w)."""
         rows = self._encoded_filter_rows()
-        keys = self._request_feip_keys(rows)
+        with GLOBAL_TRACER.span("key-fetch", keys=len(rows)):
+            keys = self._request_feip_keys(rows)
         self.counters.feip_keys_requested += len(keys)
         window_length = (self.conv.in_channels
                          * self.conv.filter_size * self.conv.filter_size)
@@ -337,16 +339,19 @@ class SecureConvInput(_FeatureReconstructor):
     def _forward_serial(self, batch, keys, mpk, bound) -> np.ndarray:
         solver = self._solver(bound)
         outputs = []
-        for image in batch:
-            out_h, out_w = image.windows.out_shape
-            z = np.empty((len(keys), out_h, out_w), dtype=object)
-            for pos, window_ct in enumerate(image.windows.windows):
-                # whole filter bank against one window ciphertext: the
-                # patch loop shares base tables across all filters
-                z[:, pos // out_w, pos % out_w] = self._feip.decrypt_rows(
-                    mpk, window_ct, keys, bound, solver=solver)
-                self.counters.feip_decrypts += len(keys)
-            outputs.append(z)
+        with GLOBAL_TRACER.span("decrypt-dlog", n=sum(
+                len(image.windows) for image in batch) * len(keys)):
+            plan = self._feip.plan_rows(keys)
+            for image in batch:
+                out_h, out_w = image.windows.out_shape
+                z = np.empty((len(keys), out_h, out_w), dtype=object)
+                for pos, window_ct in enumerate(image.windows.windows):
+                    # whole filter bank against one window ciphertext:
+                    # every filter reads the window's tables
+                    z[:, pos // out_w, pos % out_w] = self._feip.decrypt_rows(
+                        mpk, window_ct, plan, bound, solver=solver)
+                    self.counters.feip_decrypts += len(keys)
+                outputs.append(z)
         return np.stack(outputs)
 
     def _forward_parallel(self, batch, keys, mpk, bound) -> np.ndarray:
@@ -358,10 +363,12 @@ class SecureConvInput(_FeatureReconstructor):
         """
         out_h, out_w = batch[0].windows.out_shape
         all_windows = [w for image in batch for w in image.windows.windows]
-        flat = self._pool.secure_convolve(
-            self.authority.params, mpk, all_windows,
-            (len(batch) * out_h, out_w), keys, bound,
-        )
+        with GLOBAL_TRACER.span("pool-dispatch",
+                                n=len(all_windows) * len(keys)):
+            flat = self._pool.secure_convolve(
+                self.authority.params, mpk, all_windows,
+                (len(batch) * out_h, out_w), keys, bound,
+            )
         self.counters.feip_decrypts += len(all_windows) * len(keys)
         return flat.reshape(len(keys), len(batch), out_h, out_w).transpose(
             1, 0, 2, 3)

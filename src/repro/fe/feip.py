@@ -41,7 +41,7 @@ from repro.fe.keys import (
     key_fingerprint,
 )
 from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE, DlogSolver, SolverCache
-from repro.mathutils.fastexp import SharedBaseMultiExp
+from repro.mathutils.fastexp import RowPlan
 from repro.mathutils.group import GroupParams, SchnorrGroup
 
 
@@ -140,43 +140,52 @@ class Feip:
         solver = solver or self.solver_for(bound)
         return solver.solve(element)
 
+    def plan_rows(self, keys: Sequence[FeipFunctionKey]) -> RowPlan:
+        """Decryption schedule of ``keys`` for :meth:`decrypt_rows`.
+
+        The plan depends on the keys alone, so a caller that decrypts
+        many columns with one key set (every training step, every conv
+        window) builds it once and passes it instead of the keys.
+
+        Raises:
+            CiphertextError: when the keys' weight vectors differ in
+                length.
+        """
+        keys = list(keys)
+        if any(len(skf.y) != len(keys[0].y) for skf in keys):
+            raise CiphertextError("function keys differ in weight length")
+        return RowPlan([skf.y for skf in keys], [-skf.sk for skf in keys],
+                       self.group.q)
+
     def decrypt_rows(self, mpk: FeipPublicKey, ciphertext: FeipCiphertext,
-                     keys: Sequence[FeipFunctionKey], bound: int,
+                     keys: Sequence[FeipFunctionKey] | RowPlan, bound: int,
                      solver: DlogSolver | None = None) -> list[int]:
         """Recover ``[<x, y_i>]`` for every key against one ciphertext.
 
         The batched form of :meth:`decrypt`: all rows of a decryption
-        matrix share the same ciphertext bases, so one
-        :class:`~repro.mathutils.fastexp.SharedBaseMultiExp` context
-        builds the per-base window tables (and the amortized ``ct_0``
-        comb) once, evaluates every ``(y_i, -sk_i)`` row against them,
-        and hands the whole column of group elements to the solver's
-        shared giant-step walk.  Row *i* of the result equals
+        matrix share the same ciphertext bases, so ``keys`` (or the
+        :meth:`plan_rows` plan built from them) is evaluated as one
+        :class:`~repro.mathutils.fastexp.RowPlan` -- one set of
+        subset-product tables for this ciphertext, one squaring chain
+        per row -- and every row's group element is solved against
+        ``bound``.  Row *i* of the result equals
         ``decrypt(mpk, ciphertext, keys[i], bound)`` exactly -- the
         per-row path remains the reference implementation.
 
         Raises:
+            CiphertextError: when the key and ciphertext lengths differ.
             DiscreteLogError: when any inner product falls outside
                 ``[-bound, bound]``.
         """
-        keys = list(keys)
-        for skf in keys:
-            if ciphertext.eta != len(skf.y):
-                raise CiphertextError(
-                    f"ciphertext length {ciphertext.eta} != weight length "
-                    f"{len(skf.y)}"
-                )
-        if not keys:
+        plan = keys if isinstance(keys, RowPlan) else self.plan_rows(keys)
+        if not len(plan):
             return []
-        group = self.group
-        context = SharedBaseMultiExp(
-            ciphertext.ct, group.p, order=group.q,
-            fixed_base=ciphertext.ct0, rows_hint=len(keys),
-        )
-        elements = context.eval_many(
-            [skf.y for skf in keys],
-            fixed_exponents=[-skf.sk for skf in keys],
-        )
+        if ciphertext.eta != plan.width:
+            raise CiphertextError(
+                f"ciphertext length {ciphertext.eta} != weight length "
+                f"{plan.width}"
+            )
+        elements = plan.evaluate(ciphertext.ct, ciphertext.ct0, self.group.p)
         solver = solver or self.solver_for(bound)
         return solver.solve_many(elements)
 

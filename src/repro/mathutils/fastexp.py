@@ -2,7 +2,7 @@
 
 Every expensive step of both FE schemes is a modular exponentiation:
 ``g^r`` / ``h_i^r`` during encryption, ``prod_i ct_i^{y_i}`` during
-decryption, ``g^{s_i}`` during setup.  Two classical structures exploit
+decryption, ``g^{s_i}`` during setup.  Three classical structures exploit
 the reuse patterns of those exponentiations:
 
 * :class:`FixedBaseExp` -- a fixed-base windowed table ("comb") for a
@@ -17,18 +17,17 @@ the reuse patterns of those exponentiations:
   product by sign and paying a single modular inversion, which keeps
   small negative exponents small instead of reducing them to full-width
   residues mod the group order.
-* :class:`SharedBaseMultiExp` -- the batched form of the same product
-  when *many* exponent vectors hit the *same* base tuple, which is
-  exactly the shape of FEIP matrix decryption: every row key of ``W x``
-  evaluates against the one column ciphertext ``(ct_0, ct_1..ct_eta)``.
-  The context builds per-base odd-power window tables once (signed
-  digits, with inverse tables batch-inverted on first use) plus an
-  amortized fixed-base comb for ``ct_0``, then
-  :meth:`~SharedBaseMultiExp.eval_many` walks one recoding/squaring
-  chain per row against the shared tables -- m rows pay one table
-  build instead of m.
+* :class:`RowPlan` -- the batched form of the same product when *many*
+  exponent rows hit the *same* base tuple, which is exactly the shape
+  of FEIP matrix decryption: every row key ``(y_i, sk_i)`` of ``W x``
+  evaluates ``prod_j ct_j^{y_ij} * ct_0^{-sk_i}`` against one column
+  ciphertext, and a training step decrypts many columns with the same
+  keys.  The plan recodes the keys once (Lim-Lee fixed-base comb for
+  the full-width ``-sk_i``, offset small exponents riding the bottom of
+  the same squaring chain); :meth:`RowPlan.evaluate` then builds one
+  set of subset-product tables per column and walks one chain per row.
 
-Both are pure Python over ``int``; they beat CPython's C ``pow`` only
+All are pure Python over ``int``; they beat CPython's C ``pow`` only
 because they do asymptotically less work, so the window parameters are
 chosen from measured crossover points (see
 ``benchmarks/bench_ablation_fastexp.py``).
@@ -38,28 +37,20 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.mathutils.modarith import batch_inverse, mod_inverse
+from repro.mathutils.modarith import mod_inverse
 
 #: Exponent bit-width at or below which a plain ``pow`` loop beats the
 #: interleaved multi-exponentiation (C pow on a tiny exponent costs less
 #: than the Python-level bookkeeping of a shared window walk).
 NAIVE_MULTIEXP_BITS = 16
 
-#: Below this modulus size C ``pow`` beats any Python-level table walk,
-#: so :class:`SharedBaseMultiExp` evaluates rows through per-row
-#: :func:`multiexp` instead of building shared tables (same policy as
-#: ``FIXED_BASE_MIN_BITS`` on :class:`SchnorrGroup`).
-SHARED_TABLE_MIN_BITS = 64
+#: Bases per subset-product table in the small-exponent half of a
+#: :class:`RowPlan` (``2^4`` entries each).
+ROW_PLAN_GROUP = 4
 
-#: Exponent bit-width at or below which the shared window walk stops
-#: paying for its recoding overhead and per-row :func:`multiexp` (which
-#: bottoms out in tiny C ``pow`` calls) wins.
-SHARED_NAIVE_BITS = 4
-
-#: Minimum row count before the per-context fixed-base comb (the
-#: ``ct_0`` table) amortizes its build cost over the batch; below it a
-#: plain full-width ``pow`` per row is cheaper.
-SHARED_FIXED_BASE_MIN_ROWS = 8
+#: Most comb entries (``v * 2^h`` group elements) a :class:`RowPlan`
+#: builds per column.
+ROW_PLAN_MAX_ENTRIES = 4096
 
 
 def _comb_window(bits: int) -> int:
@@ -199,6 +190,11 @@ def _multiexp_nonneg(pairs: list[tuple[int, int]], modulus: int) -> int:
     return acc
 
 
+def _balanced(e: int, order: int) -> int:
+    e %= order
+    return e - order if e > order // 2 else e
+
+
 def multiexp(bases: Sequence[int], exponents: Sequence[int], modulus: int,
              order: int | None = None) -> int:
     """Return ``prod_i bases[i] ** exponents[i] mod modulus``.
@@ -217,11 +213,7 @@ def multiexp(bases: Sequence[int], exponents: Sequence[int], modulus: int,
     positive: list[tuple[int, int]] = []
     negative: list[tuple[int, int]] = []
     for base, e in zip(bases, exponents):
-        e = int(e)
-        if order is not None:
-            e %= order
-            if e > order // 2:
-                e -= order
+        e = int(e) if order is None else _balanced(int(e), order)
         if e == 0 or base == 1:
             continue
         if e > 0:
@@ -235,228 +227,142 @@ def multiexp(bases: Sequence[int], exponents: Sequence[int], modulus: int,
     return result
 
 
-def amortized_comb_window(bits: int, uses: int) -> int:
-    """Comb window minimizing build + ``uses`` evaluations.
+def _comb_shape(order_bits: int, rows: int,
+                small_bits: int) -> tuple[int, int]:
+    """Lim-Lee comb shape ``(h, v)`` minimizing one column's multiplies.
 
-    :func:`_comb_window` optimizes for a base reused thousands of times
-    (``g``, the ``h_i``); a per-column ``ct_0`` table is only reused by
-    the m rows of one decryption batch, so the build cost must be
-    weighed against the batch size -- small batches want narrow windows.
+    The fixed exponent is cut into ``h * v`` pieces of
+    ``b = ceil(bits / (h * v))`` bits, read through ``v`` tables of
+    ``2^h`` subset products.  Per column that costs ``(h*v - 1) * b``
+    squarings to reach the piece bases plus ``v * 2^h`` products; every
+    row then walks ``max(b, small_bits)`` squarings and up to ``v * b``
+    comb lookups.
     """
-    best_w, best_cost = 1, None
-    for w in range(1, 11):
-        num_windows = (bits + w - 1) // w
-        cost = num_windows * ((1 << w) - 1 + uses)
-        if best_cost is None or cost < best_cost:
-            best_w, best_cost = w, cost
-    return best_w
+    def cost(shape: tuple[int, int]) -> int:
+        h, v = shape
+        b = -(-order_bits // (h * v))
+        return ((h * v - 1) * b + v * (1 << h)
+                + rows * (max(b, small_bits) + v * b))
+    return min(((h, v) for h in range(1, ROW_PLAN_MAX_ENTRIES.bit_length())
+                for v in range(1, 5) if v << h <= ROW_PLAN_MAX_ENTRIES),
+               key=cost)
 
 
-def _shared_window(max_bits: int, n_bases: int, rows: int) -> int:
-    """Odd-power window width for a shared-base batch.
-
-    Cost model: ``2^(w-1)`` precomputed odd powers per base amortized
-    over the batch, against roughly ``max_bits / (w + 1)`` non-zero
-    sliding-window digits per base per row.
-    """
-    rows = max(rows, 1)
-    best_w, best_cost = 1, None
-    for w in range(1, 9):
-        build = n_bases * (1 << (w - 1))
-        per_row = n_bases * (max_bits / (w + 1) + 1)
-        cost = build + rows * per_row
-        if best_cost is None or cost < best_cost:
-            best_w, best_cost = w, cost
-    return best_w
+def _subset_products(elements: Sequence[int], modulus: int) -> list[int]:
+    """``table[S] = prod_{j in S} elements[j]`` for every bit mask ``S``."""
+    table = [1]
+    for element in elements:
+        table += [entry * element % modulus for entry in table]
+    return table
 
 
-class SharedBaseMultiExp:
-    """Batched multi-exponentiation over one shared tuple of bases.
+class RowPlan:
+    """Shared schedule for ``prod_j b_j^{rows[i][j]} * f^{fixed[i]}``.
 
-    Built for the decryption matrix of a secure dot product: a column
-    ciphertext fixes the bases ``(ct_1..ct_eta)`` (plus ``ct_0``), and
-    every row key contributes one signed exponent vector.  Per base the
-    context stores the odd powers ``b, b^3, .., b^(2^w - 1)`` once;
-    :meth:`eval_many` then recodes each row into sliding odd-digit
-    windows and walks one squaring chain per row, so the per-base table
-    builds -- the part :func:`multiexp` repays on every call -- are paid
-    once per column instead of once per row.  Negative digits read from
-    inverse tables produced lazily by one Montgomery batch inversion.
+    Built for FEIP decryption: one plan per key set (``rows[i] = y_i``,
+    ``fixed[i] = -sk_i``), evaluated against every column ciphertext
+    ``(f, b) = (ct_0, ct_1..ct_eta)`` the keys decrypt.  The plan depends
+    on the exponents alone, so all recoding happens once:
 
-    The optional ``fixed_base`` (FEIP's ``ct_0``) gets a
-    :class:`FixedBaseExp` comb sized by :func:`amortized_comb_window`
-    for the expected batch, because its exponents (``-sk_f``) are
-    full-width scalars for which the shared small-digit walk is wrong.
+    * each full-width ``fixed[i] mod order`` is cut into ``h * v`` pieces
+      of ``b`` bits, read through ``v`` tables of ``2^h`` entries -- the
+      Lim-Lee comb (CRYPTO '94), its shape from a cost model over
+      ``(|order|, rows)``;
+    * the small signed exponents are reduced to the balanced form and
+      shifted by ``o = max|rows[i][j]|`` into ``[0, 2o]``, so they are
+      unsigned and ride the bottom steps of the same squaring chain
+      through one ``2^4``-entry table per group of four bases;
+      ``prod_j b_j^{-o}`` is one correction per column;
+    * for every row and chain step, the table entries it multiplies in.
 
-    Toy moduli (< :data:`SHARED_TABLE_MIN_BITS` bits) and tiny exponent
-    batches fall back to per-row :func:`multiexp`, which bottoms out in
-    C ``pow`` -- the same crossover policy the rest of the engine uses.
-    Results are exact integers either way; only the schedule changes.
+    :meth:`evaluate` builds the per-column tables and walks one chain of
+    ``max(b, |2o|)`` squarings per row.  Results are exact for bases in
+    a subgroup whose order divides ``order``.
     """
 
-    def __init__(self, bases: Sequence[int], modulus: int,
-                 order: int | None = None, fixed_base: int | None = None,
-                 rows_hint: int | None = None, window: int | None = None):
-        if modulus <= 1:
-            raise ValueError("modulus must be > 1")
-        if window is not None and window < 1:
-            raise ValueError("window must be >= 1")
-        self.bases = [b % modulus for b in bases]
-        self.modulus = modulus
-        self.order = order
-        self.rows_hint = rows_hint
-        self.fixed_base = fixed_base % modulus if fixed_base is not None \
-            else None
-        self._forced_window = window
-        self.window: int | None = None
-        self._tables: list[list[int]] | None = None
-        self._inv_tables: list[list[int]] | None = None
-        self._fixed_table: FixedBaseExp | None = None
-        self._fixed_decided = False
+    def __init__(self, rows: Sequence[Sequence[int]],
+                 fixed_exponents: Sequence[int], order: int):
+        if order <= 1:
+            raise ValueError("order must be > 1")
+        if len(fixed_exponents) != len(rows):
+            raise ValueError("fixed_exponents must supply one exponent per row")
+        rows = [[_balanced(int(e), order) for e in row] for row in rows]
+        self.width = len(rows[0]) if rows else 0
+        if any(len(row) != self.width for row in rows):
+            raise ValueError("rows differ in length")
+        self.offset = max((abs(e) for row in rows for e in row), default=0)
+        small_bits = (2 * self.offset).bit_length()
+        self.blocks, self.tables = _comb_shape(order.bit_length(), len(rows),
+                                               small_bits)
+        pieces = self.blocks * self.tables
+        self.piece_bits = -(-order.bit_length() // pieces)
+        self.steps = max(self.piece_bits, small_bits)
+        # (table offset, first exponent, mask) per subset table; exponent
+        # j of a row is fixed piece j for j < pieces, then the offset
+        # small exponents (a short last group reads zero high bits)
+        runs = [(k << self.blocks, k * self.blocks, (1 << self.blocks) - 1)
+                for k in range(self.tables)]
+        if self.offset:
+            runs += [((self.tables << self.blocks)
+                      + (j // ROW_PLAN_GROUP << ROW_PLAN_GROUP),
+                      pieces + j, (1 << ROW_PLAN_GROUP) - 1)
+                     for j in range(0, self.width, ROW_PLAN_GROUP)]
+        width, steps = pieces * self.piece_bits, self.steps
+        # per row, one flat list of table indices: 0 (the identity
+        # entry, never read) squares, any other index multiplies
+        self._schedule: list[list[int]] = []
+        for row, fixed in zip(rows, fixed_exponents):
+            # one binary string per exponent, last exponent first, so
+            # that read column-wise, bit j of a step's word is exponent
+            # j's bit at that chain step (top step first)
+            strings = [format(e + self.offset, f"0{steps}b")
+                       for e in reversed(row)] if self.offset else []
+            fixed = format(int(fixed) % order, f"0{width}b")
+            strings += [fixed[k:k + self.piece_bits].zfill(steps)
+                        for k in range(0, width, self.piece_bits)]
+            words = [int("".join(bits), 2) for bits in zip(*strings)]
+            per_run = [[start + m if (m := w >> first & mask) else 0
+                        for w in words] for start, first, mask in runs]
+            schedule = []
+            for step in zip(*per_run):
+                schedule.append(0)
+                schedule.extend(filter(None, step))
+            self._schedule.append(schedule)
 
-    # -- table management -----------------------------------------------------
-    def _use_tables(self, max_bits: int) -> bool:
-        if self._forced_window is not None:
-            return True
-        return (self.modulus.bit_length() >= SHARED_TABLE_MIN_BITS
-                and max_bits > SHARED_NAIVE_BITS
-                and bool(self.bases))
+    def __len__(self) -> int:
+        return len(self._schedule)
 
-    def _ensure_tables(self, max_bits: int, n_rows: int) -> None:
-        if self._tables is not None:
-            return
-        w = self._forced_window or _shared_window(
-            max_bits, len(self.bases), self.rows_hint or n_rows)
-        self.window = w
-        modulus = self.modulus
-        tables: list[list[int]] = []
-        for base in self.bases:
-            sq = base * base % modulus
-            row = [base]
-            acc = base
-            for _ in range((1 << (w - 1)) - 1):
-                acc = acc * sq % modulus
-                row.append(acc)
-            tables.append(row)  # row[k] == base ** (2k + 1)
-        self._tables = tables
-
-    def _ensure_inverse_tables(self) -> list[list[int]]:
-        if self._inv_tables is None:
-            # one gcd for every entry of every table (Montgomery trick)
-            flat = [entry for row in self._tables for entry in row]
-            inv_flat = batch_inverse(flat, self.modulus)
-            per = len(self._tables[0]) if self._tables else 0
-            self._inv_tables = [inv_flat[i * per:(i + 1) * per]
-                                for i in range(len(self._tables))]
-        return self._inv_tables
-
-    def _fixed_pow(self, exponent: int, n_rows: int) -> int:
-        if not self._fixed_decided:
-            self._fixed_decided = True
-            uses = self.rows_hint or n_rows
-            if (self.order is not None
-                    and self.modulus.bit_length() >= SHARED_TABLE_MIN_BITS
-                    and uses >= SHARED_FIXED_BASE_MIN_ROWS):
-                self._fixed_table = FixedBaseExp(
-                    self.fixed_base, self.modulus, self.order,
-                    window=amortized_comb_window(self.order.bit_length(),
-                                                 uses))
-        if self._fixed_table is not None:
-            return self._fixed_table.pow(exponent)
-        if self.order is not None:
-            exponent %= self.order
-        return pow(self.fixed_base, exponent, self.modulus)
-
-    # -- evaluation -----------------------------------------------------------
-    def _reduce(self, e: int) -> int:
-        e = int(e)
-        if self.order is not None:
-            e %= self.order
-            if e > self.order // 2:
-                e -= self.order
-        return e
-
-    def _eval_row(self, exponents: list[int]) -> int:
-        """One signed row against the shared tables (sliding odd digits)."""
-        w = self.window
-        mask = (1 << w) - 1
-        modulus = self.modulus
-        events: dict[int, list[int]] = {}
-        top = -1
-        inv_tables = None
-        for idx, e in enumerate(exponents):
-            if e == 0:
-                continue
-            if e > 0:
-                table = self._tables[idx]
-            else:
-                if inv_tables is None:
-                    inv_tables = self._ensure_inverse_tables()
-                table = inv_tables[idx]
-                e = -e
-            pos = 0
-            while e:
-                tz = (e & -e).bit_length() - 1
-                e >>= tz
-                pos += tz
-                digit = e & mask  # odd, < 2^w
-                events.setdefault(pos, []).append(table[digit >> 1])
-                e >>= w
-                pos += w
-            if pos - 1 > top:
-                top = pos - 1
-        if top < 0:
-            return 1
-        acc = 1
-        for k in range(top, -1, -1):
-            if k != top:
-                acc = acc * acc % modulus
-            hits = events.get(k)
-            if hits:
-                for element in hits:
-                    acc = acc * element % modulus
-        return acc
-
-    def eval_many(self, rows: Sequence[Sequence[int]],
-                  fixed_exponents: Sequence[int] | None = None) -> list[int]:
-        """Return ``[prod_j bases[j] ** rows[i][j] mod modulus]`` per row.
-
-        With ``fixed_exponents`` given (one scalar per row), each result
-        is additionally multiplied by ``fixed_base ** fixed_exponents[i]``
-        through the amortized comb -- the ``ct_0^{-sk}`` half of FEIP
-        decryption.  Exponents may be signed or exceed ``order`` exactly
-        as with :func:`multiexp`.
-        """
-        rows = [list(row) for row in rows]
-        for row in rows:
-            if len(row) != len(self.bases):
-                raise ValueError(
-                    f"row length {len(row)} != base count {len(self.bases)}")
-        if fixed_exponents is not None:
-            if self.fixed_base is None:
-                raise ValueError("fixed_exponents given without a fixed_base")
-            if len(fixed_exponents) != len(rows):
-                raise ValueError(
-                    "fixed_exponents must supply one exponent per row")
-        reduced = [[self._reduce(e) for e in row] for row in rows]
-        max_bits = max((abs(e).bit_length() for row in reduced for e in row),
-                       default=0)
-        if max_bits and self._use_tables(max_bits):
-            self._ensure_tables(max_bits, len(rows))
-            results = [self._eval_row(row) for row in reduced]
-        else:
-            results = [multiexp(self.bases, row, self.modulus,
-                                order=self.order) for row in reduced]
-        if fixed_exponents is not None:
-            modulus = self.modulus
-            results = [
-                value * self._fixed_pow(int(fe), len(rows)) % modulus
-                for value, fe in zip(results, fixed_exponents)
-            ]
+    def evaluate(self, bases: Sequence[int], fixed_base: int,
+                 modulus: int) -> list[int]:
+        """Every row's product against one ``(fixed_base, bases)`` tuple."""
+        if not self._schedule:
+            return []
+        if len(bases) != self.width:
+            raise ValueError(
+                f"base count {len(bases)} != row length {self.width}")
+        power = fixed_base % modulus
+        powers = [power]
+        for _ in range(self.blocks * self.tables - 1):
+            for _ in range(self.piece_bits):
+                power = power * power % modulus
+            powers.append(power)
+        table: list[int] = []
+        for k in range(0, len(powers), self.blocks):
+            table += _subset_products(powers[k:k + self.blocks], modulus)
+        correction = 1
+        if self.offset:
+            total = 1
+            for j in range(0, self.width, ROW_PLAN_GROUP):
+                group = _subset_products(
+                    [b % modulus for b in bases[j:j + ROW_PLAN_GROUP]],
+                    modulus)
+                total = total * group[-1] % modulus
+                table += group
+            correction = mod_inverse(pow(total, self.offset, modulus), modulus)
+        results = []
+        for schedule in self._schedule:
+            acc = 1
+            for k in schedule:
+                acc = acc * (table[k] if k else acc) % modulus
+            results.append(acc * correction % modulus)
         return results
-
-    def eval(self, exponents: Sequence[int],
-             fixed_exponent: int | None = None) -> int:
-        """Single-row convenience wrapper over :meth:`eval_many`."""
-        fixed = None if fixed_exponent is None else [fixed_exponent]
-        return self.eval_many([exponents], fixed_exponents=fixed)[0]

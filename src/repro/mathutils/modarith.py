@@ -21,9 +21,8 @@ def batch_inverse(values: list[int], m: int) -> list[int]:
     Montgomery's trick: one :func:`mod_inverse` of the running product
     plus three multiplications per element, instead of one inversion
     each -- an inversion is ~40x the cost of a multiplication at 256
-    bits, so this is what makes signed-digit tables affordable in
-    :class:`repro.mathutils.fastexp.SharedBaseMultiExp` and FEBO's
-    ``ct / sk`` grids affordable in :meth:`repro.fe.febo.Febo.decrypt_many`.
+    bits, so this is what makes FEBO's ``ct / sk`` grids affordable in
+    :meth:`repro.fe.febo.Febo.decrypt_many`.
 
     Raises:
         ValueError: if any value shares a factor with ``m``.

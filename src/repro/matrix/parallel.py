@@ -85,17 +85,19 @@ DOT_CHUNKS_PER_WORKER = 2
 def chunk_tasks(tasks: Sequence, n_chunks: int) -> list[tuple]:
     """Split ``tasks`` into at most ``n_chunks`` contiguous chunks.
 
-    Every task appears in exactly one chunk and no chunk is empty, for
-    any ``n_tasks``/``n_chunks`` combination (the regression tests sweep
-    the awkward ones).
+    Every task appears in exactly one chunk, no chunk is empty, and
+    chunk sizes differ by at most one (10 tasks in 4 chunks are 3, 3, 2,
+    2, not 3, 3, 3, 1), for any ``n_tasks``/``n_chunks`` combination
+    (the regression tests sweep the awkward ones).
     """
     tasks = list(tasks)
     if not tasks:
         return []
     n_chunks = max(1, min(int(n_chunks), len(tasks)))
-    per_chunk = -(-len(tasks) // n_chunks)
-    return [tuple(tasks[i:i + per_chunk])
-            for i in range(0, len(tasks), per_chunk)]
+    size, extra = divmod(len(tasks), n_chunks)
+    bounds = [k * size + min(k, extra) for k in range(n_chunks + 1)]
+    return [tuple(tasks[start:end])
+            for start, end in zip(bounds, bounds[1:])]
 
 
 # -- worker side -------------------------------------------------------------
@@ -109,7 +111,9 @@ def _install_config(config: tuple) -> dict:
     already holds ``seq`` skips the unpickling and rebuild entirely.
     The dlog solver comes from the worker's process-wide cache, so it
     outlives reconfigurations that keep the same (group, bound) -- the
-    per-iteration case in training.
+    per-iteration case in training.  A ``dot`` config recodes its keys
+    into one :class:`~repro.mathutils.fastexp.RowPlan` here, once per
+    install, for every column chunk that follows.
     """
     if os.environ.get("REPRO_CHAOS_WORKER_KILL") \
             and multiprocessing.parent_process() is not None:
@@ -126,7 +130,7 @@ def _install_config(config: tuple) -> dict:
     if kind == "dot":
         params, mpk, keys, bound = payload
         feip = Feip(params)
-        state = dict(feip=feip, mpk=mpk, keys=keys,
+        state = dict(feip=feip, mpk=mpk, plan=feip.plan_rows(keys),
                      solver=GLOBAL_SOLVER_CACHE.get(feip.group, bound))
     elif kind == "elementwise":
         params, mpk, bound = payload
@@ -153,7 +157,7 @@ def _dot_column(config: tuple, task: tuple[int, FeipCiphertext]
     j, column_ct = task
     feip: Feip = state["feip"]
     solver = state["solver"]
-    values = feip.decrypt_rows(state["mpk"], column_ct, state["keys"],
+    values = feip.decrypt_rows(state["mpk"], column_ct, state["plan"],
                                solver.bound, solver=solver)
     return j, values
 
@@ -166,7 +170,7 @@ def _dot_columns(config: tuple,
     One task per chunk means the config blob and the bound function
     cross the process boundary once per chunk, and each column
     ciphertext crosses exactly once; inside, ``decrypt_rows`` shares
-    the per-column window tables across all rows.
+    each column's tables across all rows of the installed plan.
     """
     return [_dot_column(config, task) for task in chunk]
 
@@ -426,8 +430,8 @@ class SecureComputePool:
         Columns are pre-chunked so each worker task carries a run of
         columns: the stamped config and each column ciphertext cross the
         process boundary once per chunk, and inside a chunk
-        ``Feip.decrypt_rows`` amortizes the shared-base window tables,
-        the ``ct_0`` comb and the giant-step walk over all ``m`` rows.
+        ``Feip.decrypt_rows`` evaluates the worker's plan of the ``m``
+        row keys against each column's tables.
         """
         keys = list(keys)
         config = self.configure_dot(params, mpk, keys, bound)

@@ -148,19 +148,20 @@ class SecureConvolution:
                              bound: int) -> np.ndarray:
         """Apply a bank of filters; returns shape (F, out_h, out_w).
 
-        The patch loop is batched across the filter dimension: every
-        window ciphertext is decrypted against the whole bank in one
-        ``decrypt_rows`` call, so the per-window base tables and the
-        giant-step walk are shared by all F filters instead of being
-        rebuilt filter by filter.
+        The patch loop is batched across the filter dimension: the bank's
+        keys are recoded into one plan, and every window ciphertext is
+        decrypted against the whole bank in one ``decrypt_rows`` call,
+        so each window's tables are shared by all F filters instead of
+        being rebuilt filter by filter.
         """
         if self.mpk is None:
             raise CiphertextError("no FEIP public key; run setup() first")
         keys = list(keys)
         out_h, out_w = encrypted.out_shape
         solver = self.feip.solver_for(bound)
+        plan = self.feip.plan_rows(keys)
         z = np.empty((len(keys), out_h, out_w), dtype=object)
         for pos, window_ct in enumerate(encrypted.windows):
             z[:, pos // out_w, pos % out_w] = self.feip.decrypt_rows(
-                self.mpk, window_ct, keys, bound, solver=solver)
+                self.mpk, window_ct, plan, bound, solver=solver)
         return z

@@ -239,12 +239,13 @@ class SecureMatrixScheme:
         if self.pool is not None:
             return self.pool.secure_dot(self.params, self.feip_mpk, columns,
                                         keys, bound)
-        # batched per column: all rows share the ciphertext bases, so one
-        # decrypt_rows call amortizes the window tables and the dlog walk
+        # batched per column: the keys are recoded into one plan, and each
+        # decrypt_rows call builds one column's tables for all rows
         solver = self.feip.solver_for(bound)
+        plan = self.feip.plan_rows(keys)
         z = np.empty((len(keys), len(columns)), dtype=object)
         for j, column_ct in enumerate(columns):
-            z[:, j] = self.feip.decrypt_rows(self.feip_mpk, column_ct, keys,
+            z[:, j] = self.feip.decrypt_rows(self.feip_mpk, column_ct, plan,
                                              bound, solver=solver)
         return z
 

@@ -294,6 +294,27 @@ def test_hotpath_flags_bare_pow_and_q_reduction(tmp_path):
     assert len(report.active()) == 2
 
 
+def test_hotpath_flags_q_reduction_inside_row_plan_exponents(tmp_path):
+    report = lint(tmp_path, {
+        "src/repro/fe/bad.py": """\
+            from repro.mathutils.fastexp import RowPlan
+
+            def plan(keys, q):
+                return RowPlan([k.y for k in keys],
+                               [-k.sk % q for k in keys], q)
+            """,
+        "src/repro/fe/ok.py": """\
+            from repro.mathutils import fastexp
+
+            def plan(keys, group):
+                return fastexp.RowPlan([k.y for k in keys],
+                                       [-k.sk for k in keys], group.q)
+            """,
+    }, ["hotpath-pow"])
+    assert [(f.path, f.line) for f in report.active()] == \
+        [("src/repro/fe/bad.py", 5)]
+
+
 def test_hotpath_allows_mathutils_and_2arg_pow(tmp_path):
     report = lint(tmp_path, {
         "src/repro/mathutils/fastexp.py": """\

@@ -20,10 +20,10 @@ from repro.matrix.secure_matrix import (
     matrix_bound_elementwise,
 )
 from repro.mathutils.fastexp import (
-    SHARED_FIXED_BASE_MIN_ROWS,
+    ROW_PLAN_MAX_ENTRIES,
     FixedBaseExp,
-    SharedBaseMultiExp,
-    amortized_comb_window,
+    RowPlan,
+    _comb_shape,
     multiexp,
 )
 from repro.mathutils.group import (
@@ -150,8 +150,14 @@ class TestMultiexp:
             reference_product(bases, exponents, params.p, params.q)
 
 
+def plan_product(bases, row, fixed_base, fixed, p, q):
+    expected = reference_product(bases, row, p, q)
+    return expected * pow(fixed_base, fixed % q, p) % p
+
+
 class TestSharedBaseMultiExp:
-    """eval_many must equal per-row multiexp must equal naive pow."""
+    """Many exponent rows against one shared base tuple (:class:`RowPlan`):
+    every row must equal per-row multiexp and naive pow."""
 
     @pytest.mark.parametrize("bits", [32, 64, 128])
     @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (12, 6), (2, 40)])
@@ -163,26 +169,11 @@ class TestSharedBaseMultiExp:
         bases = [group.random_element() for _ in range(eta)]
         rows = [[rng.randrange(-500, 501) for _ in range(eta)]
                 for _ in range(m)]
-        context = SharedBaseMultiExp(bases, params.p, order=params.q,
-                                     rows_hint=m)
-        results = context.eval_many(rows)
+        results = RowPlan(rows, [0] * m, params.q).evaluate(
+            bases, group.random_element(), params.p)
         for row, got in zip(rows, results):
             assert got == multiexp(bases, row, params.p, order=params.q)
             assert got == reference_product(bases, row, params.p, params.q)
-
-    @pytest.mark.parametrize("window", [1, 2, 5])
-    def test_forced_window_exercises_tables_on_toy_group(self, params, group,
-                                                         window):
-        """Toy groups normally fall back to per-row multiexp; a forced
-        window must run the shared-table walk with identical results."""
-        rng = random.Random(window)
-        bases = [group.random_element() for _ in range(5)]
-        rows = [[rng.randrange(-300, 301) for _ in range(5)]
-                for _ in range(6)]
-        forced = SharedBaseMultiExp(bases, params.p, order=params.q,
-                                    window=window)
-        auto = SharedBaseMultiExp(bases, params.p, order=params.q)
-        assert forced.eval_many(rows) == auto.eval_many(rows)
 
     def test_full_width_and_oversized_exponents(self, params, group, rng):
         bases = [group.random_element() for _ in range(4)]
@@ -190,75 +181,67 @@ class TestSharedBaseMultiExp:
             [rng.randrange(-2 * params.q, 2 * params.q) for _ in range(4)]
             for _ in range(5)
         ]
-        context = SharedBaseMultiExp(bases, params.p, order=params.q)
-        for row, got in zip(rows, context.eval_many(rows)):
-            assert got == reference_product(bases, row, params.p, params.q)
+        fixed = [rng.randrange(-2 * params.q, 2 * params.q) for _ in rows]
+        fixed_base = group.random_element()
+        plan = RowPlan(rows, fixed, params.q)
+        for row, fe, got in zip(rows, fixed,
+                                plan.evaluate(bases, fixed_base, params.p)):
+            assert got == plan_product(bases, row, fixed_base, fe,
+                                       params.p, params.q)
 
     def test_zero_rows_and_zero_exponents(self, params, group):
         bases = [group.random_element() for _ in range(3)]
-        context = SharedBaseMultiExp(bases, params.p, order=params.q)
-        assert context.eval_many([]) == []
-        assert context.eval_many([[0, 0, 0]]) == [1]
-        assert context.eval([0, 5, 0]) == pow(bases[1], 5, params.p)
+        fixed_base = group.random_element()
+        assert RowPlan([], [], params.q).evaluate(
+            bases, fixed_base, params.p) == []
+        assert RowPlan([[0, 0, 0]], [0], params.q).evaluate(
+            bases, fixed_base, params.p) == [1]
+        assert RowPlan([[0, 5, 0]], [0], params.q).evaluate(
+            bases, fixed_base, params.p) == [pow(bases[1], 5, params.p)]
 
     def test_fixed_base_combines_per_row(self, params, group, rng):
         """ct0-style fixed base: full-width exponent folded per row."""
-        eta, m = 3, SHARED_FIXED_BASE_MIN_ROWS + 2
+        eta, m = 3, 10
         bases = [group.random_element() for _ in range(eta)]
-        fixed = group.random_element()
+        fixed_base = group.random_element()
         rows = [[rng.randrange(-200, 201) for _ in range(eta)]
                 for _ in range(m)]
-        fixed_exps = [rng.randrange(-params.q, params.q) for _ in range(m)]
-        context = SharedBaseMultiExp(bases, params.p, order=params.q,
-                                     fixed_base=fixed, rows_hint=m)
-        results = context.eval_many(rows, fixed_exponents=fixed_exps)
-        for row, fe, got in zip(rows, fixed_exps, results):
-            expected = reference_product(bases, row, params.p, params.q)
-            expected = expected * pow(fixed, fe % params.q, params.p) \
-                % params.p
-            assert got == expected
-
-    def test_fixed_base_comb_engages_above_threshold(self, rng):
-        """>= SHARED_FIXED_BASE_MIN_ROWS rows on a big group build the
-        amortized comb; results must not depend on which path ran."""
-        params = GroupParams.predefined(FIXED_BASE_MIN_BITS)
-        group = SchnorrGroup(params, rng=rng)
-        fixed = group.random_element()
-        few, many = 2, SHARED_FIXED_BASE_MIN_ROWS
-        for m in (few, many):
-            context = SharedBaseMultiExp([], params.p, order=params.q,
-                                         fixed_base=fixed, rows_hint=m)
-            exps = [rng.randrange(params.q) for _ in range(m)]
-            got = context.eval_many([[] for _ in range(m)],
-                                    fixed_exponents=exps)
-            assert got == [pow(fixed, e, params.p) for e in exps]
-            engaged = context._fixed_table is not None
-            assert engaged == (m >= SHARED_FIXED_BASE_MIN_ROWS)
+        fixed = [rng.randrange(-params.q, params.q) for _ in range(m)]
+        results = RowPlan(rows, fixed, params.q).evaluate(
+            bases, fixed_base, params.p)
+        for row, fe, got in zip(rows, fixed, results):
+            assert got == plan_product(bases, row, fixed_base, fe,
+                                       params.p, params.q)
 
     def test_errors(self, params, group):
         bases = [group.random_element() for _ in range(2)]
-        context = SharedBaseMultiExp(bases, params.p, order=params.q)
+        plan = RowPlan([[1, 2]], [3], params.q)
         with pytest.raises(ValueError):
-            context.eval_many([[1, 2, 3]])  # row length mismatch
+            plan.evaluate(bases + bases[:1], 1, params.p)  # base count
         with pytest.raises(ValueError):
-            context.eval_many([[1, 2]], fixed_exponents=[3])  # no fixed base
-        ctx_fixed = SharedBaseMultiExp(bases, params.p, order=params.q,
-                                       fixed_base=group.random_element())
+            RowPlan([[1, 2], [3]], [1, 2], params.q)  # ragged rows
         with pytest.raises(ValueError):
-            ctx_fixed.eval_many([[1, 2], [3, 4]], fixed_exponents=[1])
+            RowPlan([[1, 2], [3, 4]], [1], params.q)  # one fixed per row
         with pytest.raises(ValueError):
-            SharedBaseMultiExp(bases, 1)
-        with pytest.raises(ValueError):
-            SharedBaseMultiExp(bases, params.p, window=0)
+            RowPlan([[1, 2]], [3], 1)
 
 
-class TestAmortizedCombWindow:
-    def test_monotone_in_uses(self):
-        """More uses justify wider windows (more precomputation)."""
-        widths = [amortized_comb_window(256, uses)
-                  for uses in (1, 8, 64, 4096)]
-        assert widths == sorted(widths)
-        assert 1 <= widths[0] <= widths[-1] <= 10
+class TestCombShape:
+    def test_more_rows_buy_wider_tables(self):
+        """More rows justify more precomputation per column, and the
+        model stays inside the entry cap."""
+        shapes = [_comb_shape(255, rows, 9) for rows in (1, 8, 32, 4096)]
+        entries = [v << h for h, v in shapes]
+        assert entries == sorted(entries)
+        assert entries[-1] <= ROW_PLAN_MAX_ENTRIES
+
+    def test_chain_covers_the_small_exponents(self, params):
+        """Every chain is long enough for both halves of a row."""
+        plan = RowPlan([[-200, 200, 7]], [params.q - 1], params.q)
+        assert plan.offset == 200
+        assert plan.steps >= max(plan.piece_bits, (400).bit_length())
+        assert plan.piece_bits * plan.blocks * plan.tables >= \
+            params.q.bit_length()
 
 
 class TestBatchInverse:

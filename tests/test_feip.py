@@ -1,5 +1,6 @@
 """Unit + property tests for the FEIP inner-product scheme."""
 
+import math
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fe.errors import CiphertextError, FunctionKeyError
 from repro.fe.feip import Feip
-from repro.mathutils.dlog import DiscreteLogError
+from repro.fe.keys import FeipMasterKey, FeipPublicKey
+from repro.mathutils.dlog import DiscreteLogError, SolverCache
 from repro.mathutils.group import GroupParams
 
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -180,3 +182,111 @@ class TestSemanticBehaviour:
         ct = feip.encrypt(mpk, [10, -20, 30, -40])
         key = feip.key_derive(msk, [1, 2, 3, 4])
         assert feip.decrypt(mpk, ct, key, bound=10_000) == 10 - 40 + 90 - 160
+
+
+# -- differential properties of the batched kernel ---------------------------
+
+#: encoded first-layer magnitudes at the default config:
+#: max_abs_weight * scale and max_abs_feature * scale
+W_MAX, X_MAX = 200, 100
+DIFF_BOUND = 9 * W_MAX * X_MAX + 1
+OUT_OF_BOUND = (1 << 14) - 1  # below one W_MAX * X_MAX term
+
+weights = st.one_of(st.sampled_from([-W_MAX, 0, W_MAX]),
+                    st.integers(-W_MAX, W_MAX))
+
+
+@st.composite
+def columns(draw):
+    """``(x, rows)``: one plaintext column and the weight rows of its keys,
+    across the 4-base table boundary (eta) and the batch sizes in use (m),
+    with all-zero rows (every row zero gives a zero offset)."""
+    eta = draw(st.sampled_from([1, 3, 4, 5, 8, 9]))
+    m = draw(st.sampled_from([1, 2, 8, 32]))
+    rows = draw(st.lists(st.lists(weights, min_size=eta, max_size=eta),
+                         min_size=m, max_size=m))
+    zeros = draw(st.sampled_from(["none", "one", "all"]))
+    if zeros == "one":
+        rows[draw(st.integers(0, m - 1))] = [0] * eta
+    elif zeros == "all":
+        rows = [[0] * eta for _ in rows]
+    x = draw(st.lists(st.integers(-X_MAX, X_MAX), min_size=eta,
+                      max_size=eta))
+    return x, rows
+
+
+_DIFF_SCHEMES: dict[tuple[int, int], tuple] = {}
+
+
+def _diff_scheme(bits: int, eta: int):
+    """FEIP under a master key whose ``s`` sums to 0 mod q, shared by
+    examples: any constant weight row then derives ``sk = 0``."""
+    if (bits, eta) not in _DIFF_SCHEMES:
+        feip = Feip(GroupParams.predefined(bits), rng=random.Random(bits),
+                    solver_cache=SolverCache())
+        q = feip.group.q
+        s = [feip.group.random_exponent() for _ in range(eta - 1)]
+        s.append(-sum(s) % q)
+        mpk = FeipPublicKey(params=feip.group.params,
+                            h=tuple(feip.group.gexp(si) for si in s))
+        _DIFF_SCHEMES[bits, eta] = (feip, mpk, FeipMasterKey(s=tuple(s)))
+    return _DIFF_SCHEMES[bits, eta]
+
+
+@pytest.mark.parametrize("bits", [32, 64, 256])
+class TestDecryptRowsDifferential:
+    """``decrypt_rows`` (one plan, one chain per row) == per-row
+    ``decrypt`` == naive ``pow`` == the plaintext inner products."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(column=columns(), constant=st.one_of(st.none(), weights))
+    def test_matches_per_row_decrypt_and_pow(self, bits, column, constant):
+        x, rows = column
+        if constant is not None:
+            rows = rows + [[constant] * len(x)]
+        feip, mpk, msk = _diff_scheme(bits, len(x))
+        p, q = feip.group.p, feip.group.q
+        ct = feip.encrypt(mpk, x)
+        keys = [feip.key_derive(msk, row) for row in rows]
+        if constant is not None:
+            assert keys[-1].sk == 0
+        naive = [
+            math.prod(pow(c, y % q, p) for c, y in zip(ct.ct, key.y))
+            * pow(ct.ct0, -key.sk % q, p) % p
+            for key in keys
+        ]
+        assert feip.plan_rows(keys).evaluate(ct.ct, ct.ct0, p) == naive
+        reference = [feip.decrypt(mpk, ct, key, DIFF_BOUND) for key in keys]
+        assert feip.decrypt_rows(mpk, ct, keys, DIFF_BOUND) == reference
+        assert reference == [sum(a * b for a, b in zip(x, row))
+                             for row in rows]
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(column=columns(), position=st.integers(0, 32))
+    def test_out_of_bound_row_raises(self, bits, column, position):
+        x, rows = column
+        x[0] = X_MAX
+        rows.insert(position % (len(rows) + 1),
+                    [W_MAX] + [0] * (len(x) - 1))  # 20000 > OUT_OF_BOUND
+        feip, mpk, msk = _diff_scheme(bits, len(x))
+        ct = feip.encrypt(mpk, x)
+        keys = [feip.key_derive(msk, row) for row in rows]
+        with pytest.raises(DiscreteLogError):
+            feip.decrypt_rows(mpk, ct, keys, OUT_OF_BOUND)
+        with pytest.raises(DiscreteLogError):
+            feip.decrypt_rows(mpk, ct, feip.plan_rows(keys), OUT_OF_BOUND)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(column=columns(), position=st.integers(0, 32))
+    def test_key_length_mismatch_raises(self, bits, column, position):
+        x, rows = column
+        feip, mpk, msk = _diff_scheme(bits, len(x))
+        _, _, wider = _diff_scheme(bits, len(x) + 1)
+        ct = feip.encrypt(mpk, x)
+        keys = [feip.key_derive(msk, row) for row in rows]
+        stray = feip.key_derive(wider, [1] * (len(x) + 1))
+        with pytest.raises(CiphertextError):  # every key too wide
+            feip.decrypt_rows(mpk, ct, [stray] * len(keys), DIFF_BOUND)
+        keys.insert(position % (len(keys) + 1), stray)
+        with pytest.raises(CiphertextError):  # one key too wide
+            feip.decrypt_rows(mpk, ct, keys, DIFF_BOUND)

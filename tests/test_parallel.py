@@ -48,6 +48,8 @@ class TestChunking:
         assert [t for chunk in chunks for t in chunk] == tasks
         assert all(chunks), "no chunk may be empty"
         assert len(chunks) <= max(1, min(n_chunks, n_tasks) or 1)
+        sizes = [len(chunk) for chunk in chunks]
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1, sizes
 
     @pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 9, 16, 31])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])

@@ -24,6 +24,8 @@ from repro.nn.activations import softmax, log_softmax
 from repro.nn.conv import Conv2D
 from repro.nn.layers import Dense
 from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
+from repro.matrix.parallel import SecureComputePool
+from repro.obs.tracing import GLOBAL_TRACER
 
 QUANT_TOL = 0.05  # generous envelope for scale=100 quantization
 
@@ -179,6 +181,49 @@ class TestSecureConvInput:
         twin.backward(grad_out)
         np.testing.assert_allclose(conv.grads["W"], twin.grads["W"], atol=1e-9)
         np.testing.assert_allclose(conv.grads["b"], twin.grads["b"], atol=1e-9)
+
+
+@pytest.fixture()
+def tracer():
+    GLOBAL_TRACER.clear()
+    GLOBAL_TRACER.enable()
+    try:
+        yield GLOBAL_TRACER
+    finally:
+        GLOBAL_TRACER.disable()
+        GLOBAL_TRACER.clear()
+
+
+def _first_layer(kind, authority, client, np_rng, pool):
+    """A secure first layer of ``kind`` plus a 2-sample forward batch."""
+    if kind == "dense":
+        enc = client.encrypt_tabular(np_rng.uniform(-1, 1, size=(2, 3)),
+                                     np.zeros(2, dtype=int), num_classes=2)
+        layer = SecureLinearInput(Dense(3, 2, rng=np_rng), authority,
+                                  authority.config, pool=pool)
+        return layer, enc.samples, 2 * 2
+    enc = client.encrypt_images(np_rng.uniform(0, 1, size=(2, 1, 3, 3)),
+                                np.zeros(2, dtype=int), num_classes=2,
+                                filter_size=2, stride=1, padding=0)
+    conv = Conv2D(1, 2, filter_size=2, stride=1, padding=0, rng=np_rng)
+    layer = SecureConvInput(conv, authority, authority.config, pool=pool)
+    return layer, enc.images, 2 * 4 * 2  # samples * windows * filters
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+@pytest.mark.parametrize("pooled", [False, True])
+def test_forward_records_key_fetch_and_decrypt_spans(kind, pooled, authority,
+                                                     client, np_rng, tracer):
+    """Both first layers record the same spans: one key fetch for the
+    step's keys, then one decrypt (serial) or pool dispatch (pooled)
+    span counting every (sample, unit) or (window, filter) decryption."""
+    with SecureComputePool(workers=1) as pool:
+        layer, batch, cells = _first_layer(kind, authority, client, np_rng,
+                                            pool if pooled else None)
+        layer.forward(batch, np.arange(2))
+    spans = [(s["name"], s.get("keys", s.get("n"))) for s in tracer.spans()]
+    decrypt = "pool-dispatch" if pooled else "decrypt-dlog"
+    assert spans == [("key-fetch", 2), (decrypt, cells)]
 
 
 class TestSecureSoftmaxCrossEntropy:
